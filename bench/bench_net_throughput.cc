@@ -254,7 +254,7 @@ int main() {
                          }));
   }
 
-  // --- Protocol v5: per-frame vs batched ingest, and push delivery. ---
+  // --- Per-frame vs batched ingest, and push delivery. ---
   // Fresh systems per row: the rig's system is already populated and its
   // per-camera monotone-timestamp guard would reject replayed frames. The
   // frames carry no detections, so both rows pay identical (near-zero)

@@ -148,6 +148,7 @@ StatusOr<const InterCameraIndex::Group*> InterCameraIndex::GroupOfNearest(
     return Status::NotFound("inter-camera index is empty");
   }
   // Append the query as a scratch slot, search, then remove it again.
+  std::lock_guard<std::mutex> lock(nearest_mu_);
   entry_maps_.push_back(query);
   const int scratch = static_cast<int>(entry_maps_.size()) - 1;
   metric_->InvalidateCentroid(static_cast<size_t>(scratch));

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -96,7 +97,8 @@ class InterCameraIndex {
                                              double boundary_scale = 1.0) const;
 
   /// Clustering-query support: the group containing the representative
-  /// nearest (under OMD) to `query` (Sec. 5.2). Errors when empty.
+  /// nearest (under OMD) to `query` (Sec. 5.2). Errors when empty. Safe to
+  /// call from concurrent queries.
   StatusOr<const Group*> GroupOfNearest(const FeatureMap& query);
 
   /// Overrides (or restores) the group count and regroups.
@@ -128,6 +130,10 @@ class InterCameraIndex {
   std::vector<FeatureMap> entry_maps_;  // tree items index into this
   std::unique_ptr<FeatureMapListMetric> metric_;
   std::unique_ptr<index::PerchTree> tree_;
+  /// Serializes `GroupOfNearest` among concurrent queries: the search
+  /// borrows a scratch slot at the end of `entry_maps_`, and the metric's
+  /// centroid cache and the tree's counters are unsynchronized.
+  std::mutex nearest_mu_;
   std::vector<Group> groups_;
   size_t rep_bytes_received_ = 0;
   uint64_t failed_distances_accum_ = 0;  // from metrics replaced by Rebuild

@@ -1,6 +1,7 @@
 #include "core/intra_camera_index.h"
 
 #include <algorithm>
+#include <mutex>
 #include <utility>
 
 #include "clustering/silhouette.h"
@@ -128,6 +129,7 @@ StatusOr<std::vector<SvsId>> IntraCameraIndex::ClusterMembers(
 
 StatusOr<SvsId> IntraCameraIndex::NearestSvs(const FeatureMap& query) {
   if (tree_.size() == 0) return Status::NotFound("index is empty");
+  std::lock_guard<std::mutex> lock(metric_->query_mutex());
   const int temp = metric_->RegisterTemporary(&query);
   auto nearest = tree_.NearestNeighbor(temp);
   metric_->UnregisterTemporary(temp);

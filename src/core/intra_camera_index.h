@@ -83,6 +83,8 @@ class IntraCameraIndex {
   StatusOr<std::vector<SvsId>> ClusterMembers(size_t cluster_index) const;
 
   /// Nearest stored SVS to `query` under OMD ("SVS search", Sec. 4.2).
+  /// Safe to call from concurrent queries (they take turns on the metric's
+  /// query lock).
   StatusOr<SvsId> NearestSvs(const FeatureMap& query);
 
   /// Representative of the cluster containing `id`, for the segmenter's

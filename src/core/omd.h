@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -175,6 +176,13 @@ class SvsMetric : public index::ItemMetric {
   int RegisterTemporary(const FeatureMap* map);
   void UnregisterTemporary(int id);
 
+  /// Held by a query-time search through this metric from
+  /// `RegisterTemporary` to `UnregisterTemporary`: the temporaries and the
+  /// lazily filled centroid and memo caches are unsynchronized, and queries
+  /// run concurrently with each other (ingestion, which fills the caches
+  /// too, is exclusive).
+  std::mutex& query_mutex() { return query_mu_; }
+
   /// Routes memoization through a cache shared with other consumers (keyed
   /// by id pair *and* OMD configuration, LRU-bounded, invalidatable per
   /// SVS). nullptr restores the private unbounded memo. The cache must
@@ -191,6 +199,7 @@ class SvsMetric : public index::ItemMetric {
   const SvsStore* store_;
   OmdCalculator* calculator_;
   SvsMetricOptions options_;
+  std::mutex query_mu_;
   std::unordered_map<int, const FeatureMap*> temporaries_;
   int next_temporary_ = -2;
   OmdDistanceCache* shared_cache_ = nullptr;

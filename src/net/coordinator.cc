@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sys/socket.h>
 #include <thread>
 #include <utility>
 
@@ -11,13 +10,6 @@
 namespace vz::net {
 
 namespace {
-
-/// Response payload: a wire status followed by nothing.
-std::string StatusOnlyResponse(const Status& status, int64_t retry_after_ms) {
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {status, retry_after_ms});
-  return writer.buffer();
-}
 
 /// True for statuses that mean the edge could not be talked to, as opposed
 /// to an edge that answered with an error. Mirrors the client's reconnect
@@ -53,7 +45,11 @@ Coordinator::Coordinator(const CoordinatorOptions& options)
       inter_(&omd_, options.inter, Rng(options.seed ^ 0x1357)),
       edge_entries_(options.edges.size()),
       idle_clients_(options.edges.size()),
-      watch_clients_(options.edges.size()) {}
+      watch_clients_(options.edges.size()),
+      endpoint_(options, /*pool=*/nullptr, /*idle_evict_ms=*/0,
+                [this](uint64_t conn_id) { DropSubscriptionsOf(conn_id); }) {
+  RegisterHandlers();
+}
 
 Coordinator::~Coordinator() { Shutdown(); }
 
@@ -64,14 +60,8 @@ Status Coordinator::Start() {
   if (options_.edges.empty()) {
     return Status::InvalidArgument("a coordinator needs at least one edge");
   }
-  // One worker per connection plus the accept loop's headroom, like Server's
-  // owned-pool fallback.
-  pool_ = std::make_unique<ThreadPool>(options_.max_connections + 1);
-  VZ_ASSIGN_OR_RETURN(listen_fd_,
-                      TcpListen(options_.bind_address, options_.port));
-  VZ_ASSIGN_OR_RETURN(port_, LocalPort(listen_fd_.get()));
+  VZ_RETURN_IF_ERROR(endpoint_.Start(options_.bind_address, options_.port));
   stopping_.store(false);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   forward_thread_ = std::thread([this] { ForwardLoop(); });
   // Prime the registry and the representative index before the first query
   // can arrive; edges that are down simply start their ladder early.
@@ -91,23 +81,7 @@ void Coordinator::Shutdown() {
   }
   sync_cv_.notify_all();
   if (sync_thread_.joinable()) sync_thread_.join();
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_.Reset();
-  std::vector<std::future<void>> futures;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool drained = drained_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this] { return active_connections_ == 0; });
-    if (!drained) {
-      for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    futures.swap(connection_futures_);
-  }
-  for (std::future<void>& f : futures) {
-    if (f.valid()) f.wait();
-  }
+  endpoint_.Shutdown();
   push_cv_.notify_all();
   if (forward_thread_.joinable()) forward_thread_.join();
   // Connection handlers tore their own subscriptions down on exit; anything
@@ -140,14 +114,7 @@ std::vector<ShardHealthInfo> Coordinator::shard_health() const {
 
 CoordinatorStats Coordinator::stats() const {
   CoordinatorStats stats;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats.connections_accepted = connections_accepted_;
-    stats.connections_shed = connections_shed_;
-    stats.connections_active = active_connections_;
-  }
-  stats.requests_served = requests_served_.load();
-  stats.request_errors = request_errors_.load();
+  static_cast<EndpointStats&>(stats) = endpoint_.stats();
   stats.fanout_legs = fanout_legs_.load();
   stats.fanout_failures = fanout_failures_.load();
   stats.degraded_answers = degraded_answers_.load();
@@ -169,270 +136,78 @@ CoordinatorStats Coordinator::stats() const {
   return stats;
 }
 
-// --- Client-facing front end (a read-only sibling of Server's loop). ---
+// --- The handler table. ---
 
-void Coordinator::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto accepted = TcpAccept(listen_fd_.get());
-    if (!accepted.ok()) {
-      if (stopping_.load()) return;
-      continue;
-    }
-    UniqueFd fd = std::move(*accepted);
-    (void)SetTcpNoDelay(fd.get());
-
-    std::lock_guard<std::mutex> lock(mu_);
-    ++connections_accepted_;
-    if (stopping_.load() || active_connections_ >= options_.max_connections) {
-      ++connections_shed_;
-      const Status shed = Status::ResourceExhausted(
-          "coordinator at connection capacity (" +
-          std::to_string(options_.max_connections) + "); retry later");
-      (void)WriteFrame(
-          fd.get(), static_cast<uint32_t>(MsgType::kHello) | kResponseFlag,
-          StatusOnlyResponse(shed, options_.shed_retry_after_ms),
-          options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1);
-      continue;  // fd closes on scope exit
-    }
-    ++active_connections_;
-    active_fds_.push_back(fd.get());
-    auto shared = std::make_shared<ConnShared>();
-    shared->id = next_conn_id_++;
-    shared->fd = fd.get();
-    conns_by_id_.emplace(shared->id, shared);
-    std::erase_if(connection_futures_, [](std::future<void>& f) {
-      return !f.valid() ||
-             f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+void Coordinator::RegisterHandlers() {
+  using Handler = std::string (Coordinator::*)(io::BinaryReader*, Status*);
+  auto handle = [this](MsgType type, Handler handler) {
+    endpoint_.Handle(type, [this, handler](const RpcCall&,
+                                           io::BinaryReader* request,
+                                           Status* failure) {
+      return (this->*handler)(request, failure);
     });
-    connection_futures_.push_back(
-        pool_->Submit([this, raw = fd.Release(), shared]() mutable {
-          HandleConnection(UniqueFd(raw), std::move(shared));
-        }));
-  }
-}
-
-void Coordinator::HandleConnection(UniqueFd fd,
-                                   std::shared_ptr<ConnShared> conn) {
-  bool hello_done = false;
-  while (!stopping_.load()) {
-    auto readable = WaitReadable(fd.get(), options_.idle_poll_ms);
-    if (!readable.ok()) break;
-    if (!*readable) continue;  // idle; re-check the stop flag
-    if (!ServeOneRequest(conn, &hello_done)) break;
-  }
-  // Push teardown BEFORE the socket closes: `closed` flips under
-  // `write_mu`, and the forwarder re-checks it under the same lock, so no
-  // forwarded push can land on a recycled fd number.
-  {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    conn->closed.store(true);
-  }
-  DropSubscriptionsOf(conn->id);
-  std::lock_guard<std::mutex> lock(mu_);
-  conns_by_id_.erase(conn->id);
-  std::erase(active_fds_, fd.get());
-  if (active_connections_ > 0) --active_connections_;
-  if (active_connections_ == 0) drained_cv_.notify_all();
-}
-
-bool Coordinator::ServeOneRequest(const std::shared_ptr<ConnShared>& conn,
-                                  bool* hello_done) {
-  const int fd = conn->fd;
-  const int64_t read_timeout =
-      options_.read_timeout_ms > 0 ? options_.read_timeout_ms : -1;
-  const int64_t write_timeout =
-      options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1;
-  // The framing is fixed per exchange: a v5 Hello's own response still
-  // travels in legacy framing (the flag flips after it is written).
-  const bool v5 = conn->v5.load(std::memory_order_acquire);
-
-  auto write_response = [&](uint32_t type, uint64_t correlation,
-                            const std::string& payload) {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    return v5 ? WriteFrameV5(fd, type, correlation, payload, write_timeout)
-              : WriteFrame(fd, type, payload, write_timeout);
   };
-
-  uint64_t correlation = 0;
-  WireFrame request;
-  Status read_status;
-  if (v5) {
-    auto framed = ReadFrameV5(fd, read_timeout);
-    if (framed.ok()) {
-      correlation = framed->correlation;
-      request.type = framed->type;
-      request.payload = std::move(framed->payload);
-    } else {
-      read_status = framed.status();
-    }
-  } else {
-    auto framed = ReadFrame(fd, read_timeout);
-    if (framed.ok()) {
-      request = std::move(*framed);
-    } else {
-      read_status = framed.status();
-    }
-  }
-  if (!read_status.ok()) {
-    if (read_status.code() != StatusCode::kNotFound &&
-        read_status.code() != StatusCode::kUnavailable) {
-      request_errors_.fetch_add(1);
-      // On a v5 connection the request's correlation never arrived intact,
-      // so the error rides correlation 0 — connection-fatal for the client.
-      (void)write_response(
-          static_cast<uint32_t>(MsgType::kHello) | kResponseFlag, 0,
-          StatusOnlyResponse(read_status, 0));
-    }
-    return false;
-  }
-  if ((request.type & kResponseFlag) != 0 ||
-      request.type == static_cast<uint32_t>(MsgType::kPushEvent)) {
-    request_errors_.fetch_add(1);
-    (void)write_response(request.type | kResponseFlag, correlation,
-                         StatusOnlyResponse(
-                             Status::InvalidArgument(
-                                 "response or push frame sent as request"),
-                             0));
-    return false;
-  }
-
-  Status failure;
-  const std::string response = DispatchRequest(request, conn.get(),
-                                               correlation, hello_done,
-                                               &failure);
-  if (failure.ok()) {
-    requests_served_.fetch_add(1);
-  } else {
-    request_errors_.fetch_add(1);
-  }
-  if (!write_response(request.type | kResponseFlag, correlation, response)
-           .ok()) {
-    return false;
-  }
-  // A successful v5 Hello switches the framing from here on.
-  if (!v5 && conn->negotiated_v5) {
-    conn->v5.store(true, std::memory_order_release);
-  }
-  // Like Server: a protocol-ordering violation closes the connection after
-  // the error response; RPC-level failures keep it open.
-  if (!failure.ok() && failure.code() == StatusCode::kFailedPrecondition &&
-      !*hello_done) {
-    return false;
-  }
-  return true;
-}
-
-std::string Coordinator::DispatchRequest(const WireFrame& request,
-                                         ConnShared* conn,
-                                         uint64_t correlation,
-                                         bool* hello_done, Status* failure) {
-  io::BinaryReader reader(request.payload);
-  const MsgType type = static_cast<MsgType>(request.type);
-
-  if (type == MsgType::kHello) {
-    auto version = reader.ReadU32();
-    if (!version.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         version.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    io::BinaryWriter writer;
-    if (*version < kMinProtocolVersion || *version > kProtocolVersion) {
-      *failure = Status::FailedPrecondition(
-          "protocol version mismatch: client speaks v" +
-          std::to_string(*version) + ", coordinator speaks v" +
-          std::to_string(kMinProtocolVersion) + "-v" +
-          std::to_string(kProtocolVersion));
-      EncodeWireStatus(&writer, {*failure, 0});
-    } else {
-      *hello_done = true;
-      // A v4 client keeps legacy framing for the whole connection; a v5
-      // client switches after this response is written.
-      conn->negotiated_v5 = *version >= 5;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-    }
-    writer.WriteU32(kProtocolVersion);
-    return writer.buffer();
-  }
-  if (!*hello_done) {
-    *failure = Status::FailedPrecondition("first message must be Hello");
-    return StatusOnlyResponse(*failure, 0);
-  }
-  if (type == MsgType::kSubscribe) {
-    return HandleSubscribe(conn, correlation, &reader, failure);
-  }
-  if (type == MsgType::kUnsubscribe) {
-    return HandleUnsubscribe(conn, &reader, failure);
-  }
-  if (type == MsgType::kAdminTune) {
-    // The one mutating RPC the coordinator forwards: index tuning is
-    // fleet-wide operator state, so it fans out to every eligible shard.
-    return HandleAdminTune(&reader, failure);
-  }
-  if (IsMutatingType(request.type)) {
-    // The coordinator holds no video state: ingest, camera lifecycle and
-    // snapshots belong to the edges.
-    *failure = Status::FailedPrecondition(
-        "coordinator is read-only: send mutating RPCs to an edge server");
-    return StatusOnlyResponse(*failure, 0);
-  }
-  return ExecuteRequest(type, &reader, failure);
-}
-
-std::string Coordinator::ExecuteRequest(MsgType type,
-                                        io::BinaryReader* reader,
+  auto refuse = [this](MsgType type, const char* why) {
+    endpoint_.Handle(type, [why](const RpcCall&, io::BinaryReader*,
+                                 Status* failure) {
+      *failure = Status::FailedPrecondition(why);
+      return StatusOnlyResponse(*failure);
+    });
+  };
+  endpoint_.Handle(MsgType::kPing,
+                   [](const RpcCall&, io::BinaryReader*, Status*) {
+                     return StatusOnlyResponse(Status::OK());
+                   });
+  handle(MsgType::kDirectQuery, &Coordinator::HandleDirectQuery);
+  for (MsgType type :
+       {MsgType::kClusteringQueryById, MsgType::kClusteringQueryByMap}) {
+    endpoint_.Handle(type, [this, type](const RpcCall&,
+                                        io::BinaryReader* request,
                                         Status* failure) {
-  switch (type) {
-    case MsgType::kPing:
-      return StatusOnlyResponse(Status::OK(), 0);
-    case MsgType::kDirectQuery:
-      return HandleDirectQuery(reader, failure);
-    case MsgType::kClusteringQueryById:
-    case MsgType::kClusteringQueryByMap:
-      return HandleClusteringQuery(type, reader, failure);
-    case MsgType::kGetMetaData:
-      return HandleGetMetaData(reader, failure);
-    case MsgType::kSvsFeatureMap:
-      return HandleSvsFeatureMap(reader, failure);
-    case MsgType::kMonitorStats:
-      return HandleMonitorStats(failure);
-    case MsgType::kCameraHealth:
-      return HandleCameraHealth(failure);
-    case MsgType::kQueryLoadStats:
-      return HandleQueryLoadStats(failure);
-    case MsgType::kWalShip:
-    case MsgType::kRepSync:
-    case MsgType::kCheckpointFetch:
-      *failure = Status::FailedPrecondition(
-          "replication RPCs are edge-to-edge; the coordinator serves none");
-      return StatusOnlyResponse(*failure, 0);
-    default:
-      break;
+      return HandleClusteringQuery(type, request, failure);
+    });
   }
-  *failure = Status::Unimplemented(
-      "unhandled message type " +
-      std::to_string(static_cast<uint32_t>(type)));
-  return StatusOnlyResponse(*failure, 0);
+  handle(MsgType::kGetMetaData, &Coordinator::HandleGetMetaData);
+  handle(MsgType::kSvsFeatureMap, &Coordinator::HandleSvsFeatureMap);
+  handle(MsgType::kMonitorStats, &Coordinator::HandleMonitorStats);
+  handle(MsgType::kCameraHealth, &Coordinator::HandleCameraHealth);
+  handle(MsgType::kQueryLoadStats, &Coordinator::HandleQueryLoadStats);
+  // The one mutating RPC the coordinator forwards: index tuning is
+  // fleet-wide operator state, so it fans out to every eligible shard.
+  handle(MsgType::kAdminTune, &Coordinator::HandleAdminTune);
+  endpoint_.Handle(MsgType::kSubscribe,
+                   [this](const RpcCall& call, io::BinaryReader* request,
+                          Status* failure) {
+                     return HandleSubscribe(call, request, failure);
+                   });
+  endpoint_.Handle(MsgType::kUnsubscribe,
+                   [this](const RpcCall& call, io::BinaryReader* request,
+                          Status* failure) {
+                     return HandleUnsubscribe(call, request, failure);
+                   });
+  // The coordinator holds no video state: ingest, camera lifecycle and
+  // snapshots belong to the edges, and so does replication.
+  for (MsgType type :
+       {MsgType::kCameraStart, MsgType::kCameraTerminate,
+        MsgType::kIngestFrame, MsgType::kIngestBatch, MsgType::kFlush,
+        MsgType::kSnapshotSave, MsgType::kSnapshotLoad}) {
+    refuse(type,
+           "coordinator is read-only: send mutating RPCs to an edge server");
+  }
+  for (MsgType type :
+       {MsgType::kWalShip, MsgType::kRepSync, MsgType::kCheckpointFetch}) {
+    refuse(type,
+           "replication RPCs are edge-to-edge; the coordinator serves none");
+  }
 }
 
 // --- Standing-query fan-out. ---
 
-std::string Coordinator::HandleSubscribe(ConnShared* conn,
-                                         uint64_t correlation,
+std::string Coordinator::HandleSubscribe(const RpcCall& call,
                                          io::BinaryReader* reader,
                                          Status* failure) {
   auto spec = DecodeSubscribeRequest(reader);
-  if (!spec.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       spec.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
-  if (!conn->v5.load(std::memory_order_acquire)) {
-    *failure = Status::FailedPrecondition(
-        "Subscribe requires protocol v5: push frames are multiplexed by "
-        "correlation id, which v4 framing cannot carry");
-    return StatusOnlyResponse(*failure, 0);
-  }
+  if (!spec.ok()) return MalformedPayload(spec.status(), failure);
 
   auto sub = std::make_shared<ClientSub>();
   {
@@ -441,15 +216,11 @@ std::string Coordinator::HandleSubscribe(ConnShared* conn,
     std::lock_guard<std::mutex> lock(push_mu_);
     sub->id = next_sub_id_++;
   }
-  sub->correlation = correlation;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = conns_by_id_.find(conn->id);
-    if (it != conns_by_id_.end()) sub->conn = it->second;
-  }
+  sub->conn_id = call.conn_id;
+  sub->correlation = call.correlation;
   sub->edge_clients.resize(registry_.size());
 
-  // One dedicated v5 connection per eligible edge: pushes arrive on the
+  // One dedicated connection per eligible edge: pushes arrive on the
   // connection that subscribed, so pooled (shared) clients cannot carry
   // them. Zero reconnect budget — a silently reconnected client would have
   // silently lost its subscription.
@@ -493,7 +264,7 @@ std::string Coordinator::HandleSubscribe(ConnShared* conn,
   {
     std::lock_guard<std::mutex> lock(push_mu_);
     subs_by_id_.emplace(sub->id, sub);
-    subs_by_conn_[conn->id].push_back(sub->id);
+    subs_by_conn_[call.conn_id].push_back(sub->id);
   }
   subscriptions_total_.fetch_add(1);
   io::BinaryWriter writer;
@@ -502,29 +273,24 @@ std::string Coordinator::HandleSubscribe(ConnShared* conn,
   return writer.buffer();
 }
 
-std::string Coordinator::HandleUnsubscribe(ConnShared* conn,
+std::string Coordinator::HandleUnsubscribe(const RpcCall& call,
                                            io::BinaryReader* reader,
                                            Status* failure) {
   auto id = reader->ReadU64();
-  if (!id.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       id.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
+  if (!id.ok()) return MalformedPayload(id.status(), failure);
   std::shared_ptr<ClientSub> victim;
   {
     std::lock_guard<std::mutex> lock(push_mu_);
     auto it = subs_by_id_.find(*id);
     // A connection may only cancel its own subscriptions.
-    if (it == subs_by_id_.end() || it->second->conn == nullptr ||
-        it->second->conn->id != conn->id) {
+    if (it == subs_by_id_.end() || it->second->conn_id != call.conn_id) {
       *failure = Status::NotFound("unknown subscription id " +
                                   std::to_string(*id));
       return StatusOnlyResponse(*failure, 0);
     }
     victim = it->second;
     subs_by_id_.erase(it);
-    auto conn_it = subs_by_conn_.find(conn->id);
+    auto conn_it = subs_by_conn_.find(call.conn_id);
     if (conn_it != subs_by_conn_.end()) {
       std::erase(conn_it->second, *id);
       if (conn_it->second.empty()) subs_by_conn_.erase(conn_it);
@@ -541,17 +307,9 @@ std::string Coordinator::HandleAdminTune(io::BinaryReader* reader,
   // coordinator keeps no dedup state of its own — each fan-out leg below
   // carries its own token, and the edges deduplicate those.
   auto token = DecodeIdempotencyToken(reader);
-  if (!token.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       token.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
+  if (!token.ok()) return MalformedPayload(token.status(), failure);
   auto request = DecodeAdminTuneRequest(reader);
-  if (!request.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       request.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
+  if (!request.ok()) return MalformedPayload(request.status(), failure);
   auto legs = FanOut<AdminTuneReply>(
       EligibleSet(),
       [&](Client* client) { return client->AdminTune(*request); });
@@ -638,77 +396,67 @@ void Coordinator::OnEdgePush(const std::weak_ptr<ClientSub>& weak,
   push_cv_.notify_all();
 }
 
-void Coordinator::DeliverPending(const std::shared_ptr<ClientSub>& sub,
-                                 int64_t write_timeout) {
-  const std::shared_ptr<ConnShared> conn = sub->conn;
-  if (conn == nullptr || !conn->v5.load(std::memory_order_acquire)) return;
+void Coordinator::DeliverPending(const std::shared_ptr<ClientSub>& sub) {
   {
     std::lock_guard<std::mutex> lock(sub->mu);
     if (sub->buffer.empty() && sub->dropped_pending == 0) return;
   }
-  // Zero-timeout writability probe: a slow client is skipped this round,
-  // its buffer keeps absorbing (drop-oldest) — backpressure stays on it
-  // alone, never on the edge connections or other subscribers.
-  auto writable = WaitWritable(conn->fd, 0);
-  if (!writable.ok() || !*writable) return;
-  std::vector<PushEvent> events;
-  {
-    std::lock_guard<std::mutex> lock(sub->mu);
-    size_t budget = options_.subscription_max_drain;
-    if (sub->dropped_pending > 0 && budget > 0) {
-      PushEvent gap;
-      gap.subscription_id = sub->id;
-      gap.kind = PushKind::kGap;
-      gap.dropped = sub->dropped_pending;
-      sub->dropped_pending = 0;
-      events.push_back(std::move(gap));
-      --budget;
-    }
-    // Merge order is (shard index, edge sequence) — a pure function of the
-    // per-edge streams, never of callback arrival interleaving.
-    std::stable_sort(sub->buffer.begin(), sub->buffer.end(),
-                     [](const ClientSub::Buffered& a,
-                        const ClientSub::Buffered& b) {
-                       return a.shard != b.shard
-                                  ? a.shard < b.shard
-                                  : a.edge_sequence < b.edge_sequence;
-                     });
-    while (!sub->buffer.empty() && budget > 0) {
-      events.push_back(std::move(sub->buffer.front().event));
-      sub->buffer.pop_front();
-      --budget;
-    }
-    // Coordinator-level sequences are dense as delivered, so a subscriber
-    // can prove it saw every frame the coordinator sent.
-    for (PushEvent& event : events) event.sequence = sub->next_sequence++;
-  }
-  if (events.empty()) return;
-  std::vector<std::string> frames;
-  frames.reserve(events.size());
+  // The endpoint skips a slow client this round; its buffer keeps absorbing
+  // (drop-oldest) — backpressure stays on it alone, never on the edge
+  // connections or other subscribers.
+  uint64_t pushes = 0;
   uint64_t gaps = 0;
-  for (const PushEvent& event : events) {
-    io::BinaryWriter writer;
-    EncodePushEvent(&writer, event);
-    if (event.kind == PushKind::kGap) ++gaps;
-    frames.push_back(EncodeFrameV5(static_cast<uint32_t>(MsgType::kPushEvent),
-                                   sub->correlation, writer.buffer()));
-  }
-  {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    if (conn->closed.load()) return;  // events die with the connection
-    Status written = WriteEncodedFrames(conn->fd, frames, write_timeout);
-    if (!written.ok()) {
-      ::shutdown(conn->fd, SHUT_RDWR);  // the handler tears down
-      return;
+  const bool written = endpoint_.PushFrames(sub->conn_id, [&] {
+    std::vector<PushEvent> events;
+    {
+      std::lock_guard<std::mutex> lock(sub->mu);
+      size_t budget = options_.subscription_max_drain;
+      if (sub->dropped_pending > 0 && budget > 0) {
+        PushEvent gap;
+        gap.subscription_id = sub->id;
+        gap.kind = PushKind::kGap;
+        gap.dropped = sub->dropped_pending;
+        sub->dropped_pending = 0;
+        events.push_back(std::move(gap));
+        --budget;
+      }
+      // Merge order is (shard index, edge sequence) — a pure function of
+      // the per-edge streams, never of callback arrival interleaving.
+      std::stable_sort(sub->buffer.begin(), sub->buffer.end(),
+                       [](const ClientSub::Buffered& a,
+                          const ClientSub::Buffered& b) {
+                         return a.shard != b.shard
+                                    ? a.shard < b.shard
+                                    : a.edge_sequence < b.edge_sequence;
+                       });
+      while (!sub->buffer.empty() && budget > 0) {
+        events.push_back(std::move(sub->buffer.front().event));
+        sub->buffer.pop_front();
+        --budget;
+      }
+      // Coordinator-level sequences are dense as delivered, so a subscriber
+      // can prove it saw every frame the coordinator sent.
+      for (PushEvent& event : events) event.sequence = sub->next_sequence++;
     }
+    std::vector<std::string> frames;
+    frames.reserve(events.size());
+    for (const PushEvent& event : events) {
+      io::BinaryWriter writer;
+      EncodePushEvent(&writer, event);
+      if (event.kind == PushKind::kGap) ++gaps;
+      frames.push_back(EncodeFrame(static_cast<uint32_t>(MsgType::kPushEvent),
+                                   sub->correlation, writer.buffer()));
+    }
+    pushes = frames.size();
+    return frames;
+  });
+  if (written) {
+    pushes_forwarded_.fetch_add(pushes);
+    push_gaps_forwarded_.fetch_add(gaps);
   }
-  pushes_forwarded_.fetch_add(events.size());
-  push_gaps_forwarded_.fetch_add(gaps);
 }
 
 void Coordinator::ForwardLoop() {
-  const int64_t write_timeout =
-      options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1;
   const int64_t poll_ms = options_.push_poll_ms > 0 ? options_.push_poll_ms
                                                     : 50;
   std::unique_lock<std::mutex> lock(push_mu_);
@@ -719,7 +467,7 @@ void Coordinator::ForwardLoop() {
     subs.reserve(subs_by_id_.size());
     for (const auto& [id, sub] : subs_by_id_) subs.push_back(sub);
     lock.unlock();
-    for (const auto& sub : subs) DeliverPending(sub, write_timeout);
+    for (const auto& sub : subs) DeliverPending(sub);
     lock.lock();
   }
 }
@@ -863,17 +611,9 @@ void Coordinator::ExcludeShard(size_t edge,
 std::string Coordinator::HandleDirectQuery(io::BinaryReader* reader,
                                            Status* failure) {
   auto feature = DecodeFeatureVector(reader);
-  if (!feature.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       feature.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
+  if (!feature.ok()) return MalformedPayload(feature.status(), failure);
   auto constraints = DecodeQueryConstraints(reader);
-  if (!constraints.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       constraints.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
+  if (!constraints.ok()) return MalformedPayload(constraints.status(), failure);
 
   const std::vector<bool> consult = DirectQueryConsultSet(*feature);
   const core::QueryConstraints shard_constraints =
@@ -949,17 +689,9 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
   size_t owner = 0;
   if (type == MsgType::kClusteringQueryById) {
     auto id = reader->ReadI64();
-    if (!id.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         id.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
+    if (!id.ok()) return MalformedPayload(id.status(), failure);
     auto decoded = DecodeQueryConstraints(reader);
-    if (!decoded.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         decoded.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
+    if (!decoded.ok()) return MalformedPayload(decoded.status(), failure);
     constraints = *decoded;
     owner = ShardOfSvsId(*id);
     if (owner >= registry_.size()) {
@@ -1000,16 +732,10 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
   } else {
     auto decoded_target = DecodeFeatureMap(reader);
     if (!decoded_target.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         decoded_target.status().message());
-      return StatusOnlyResponse(*failure, 0);
+      return MalformedPayload(decoded_target.status(), failure);
     }
     auto decoded = DecodeQueryConstraints(reader);
-    if (!decoded.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         decoded.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
+    if (!decoded.ok()) return MalformedPayload(decoded.status(), failure);
     target = std::move(*decoded_target);
     constraints = *decoded;
   }
@@ -1088,11 +814,7 @@ std::string Coordinator::HandleClusteringQuery(MsgType type,
 std::string Coordinator::HandleGetMetaData(io::BinaryReader* reader,
                                            Status* failure) {
   auto id = reader->ReadI64();
-  if (!id.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       id.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
+  if (!id.ok()) return MalformedPayload(id.status(), failure);
   const size_t owner = ShardOfSvsId(*id);
   if (owner >= registry_.size()) {
     *failure = Status::NotFound("SVS " + std::to_string(*id) +
@@ -1136,11 +858,7 @@ std::string Coordinator::HandleGetMetaData(io::BinaryReader* reader,
 std::string Coordinator::HandleSvsFeatureMap(io::BinaryReader* reader,
                                              Status* failure) {
   auto id = reader->ReadI64();
-  if (!id.ok()) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       id.status().message());
-    return StatusOnlyResponse(*failure, 0);
-  }
+  if (!id.ok()) return MalformedPayload(id.status(), failure);
   const size_t owner = ShardOfSvsId(*id);
   if (owner >= registry_.size() || !registry_.Eligible(owner)) {
     *failure = Status::Unavailable("shard " + std::to_string(owner) +
@@ -1174,8 +892,7 @@ std::string Coordinator::HandleSvsFeatureMap(io::BinaryReader* reader,
   return writer.buffer();
 }
 
-std::string Coordinator::HandleMonitorStats(Status* failure) {
-  (void)failure;
+std::string Coordinator::HandleMonitorStats(io::BinaryReader*, Status*) {
   auto legs = FanOut<MonitorStatsReply>(
       EligibleSet(), [](Client* client) { return client->MonitorStats(); });
 
@@ -1229,8 +946,7 @@ std::string Coordinator::HandleMonitorStats(Status* failure) {
   return writer.buffer();
 }
 
-std::string Coordinator::HandleCameraHealth(Status* failure) {
-  (void)failure;
+std::string Coordinator::HandleCameraHealth(io::BinaryReader*, Status*) {
   auto legs = FanOut<std::vector<CameraHealthEntry>>(
       EligibleSet(),
       [](Client* client) { return client->CameraHealthReport(); });
@@ -1245,8 +961,7 @@ std::string Coordinator::HandleCameraHealth(Status* failure) {
   return writer.buffer();
 }
 
-std::string Coordinator::HandleQueryLoadStats(Status* failure) {
-  (void)failure;
+std::string Coordinator::HandleQueryLoadStats(io::BinaryReader*, Status*) {
   auto legs = FanOut<core::QueryLoadStats>(
       EligibleSet(), [](Client* client) { return client->QueryLoadStats(); });
   core::QueryLoadStats merged;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -15,13 +14,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/socket.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/inter_camera_index.h"
 #include "core/omd.h"
 #include "core/query.h"
 #include "net/edge_registry.h"
+#include "net/rpc_endpoint.h"
 #include "net/wire.h"
 
 namespace vz::net {
@@ -44,8 +42,10 @@ inline constexpr core::SvsId LocalSvsId(core::SvsId global) {
   return global & ((core::SvsId{1} << kShardIdBits) - 1);
 }
 
-/// Configuration of the coordinator front end.
-struct CoordinatorOptions {
+/// Configuration of the coordinator front end. Client-facing connection
+/// handling comes from `EndpointOptions` (idle eviction stays off: clients
+/// of a query plane may sit quiet between queries).
+struct CoordinatorOptions : EndpointOptions {
   /// Port to listen on; 0 lets the kernel pick (read back with `port()`).
   uint16_t port = 0;
   std::string bind_address = "127.0.0.1";
@@ -54,14 +54,6 @@ struct CoordinatorOptions {
   /// order, so every coordinator of one deployment must list the same edges
   /// in the same order.
   std::vector<EdgeEndpoint> edges;
-
-  // --- Client-facing connection handling (mirrors ServerOptions). ---
-  size_t max_connections = 8;
-  int64_t shed_retry_after_ms = 50;
-  int64_t idle_poll_ms = 50;
-  int64_t drain_timeout_ms = 10'000;
-  int64_t read_timeout_ms = 10'000;
-  int64_t write_timeout_ms = 10'000;
 
   // --- Fan-out. ---
 
@@ -86,7 +78,7 @@ struct CoordinatorOptions {
   /// edges' `VideoZillaOptions::boundary_scale`.
   double boundary_scale = 1.0;
 
-  // --- Standing-query fan-out (v5). ---
+  // --- Standing-query fan-out. ---
 
   /// Bounded per-client-subscription forward buffer; drop-oldest with gap
   /// accounting once full (mirrors the edge engine's contract).
@@ -99,8 +91,8 @@ struct CoordinatorOptions {
   /// moment an edge's index version advances, instead of waiting out
   /// `sync_interval_ms`. The interval poll stays as the fallback (and the
   /// versioned "unchanged" RepSync fast path still bounds the cost of a
-  /// spurious wake). Requires v5 edges; edges that refuse simply stay on
-  /// the interval.
+  /// spurious wake). Edges that refuse the subscription simply stay on the
+  /// interval.
   bool rep_push = true;
 
   // --- Representative sync / probing. ---
@@ -121,12 +113,7 @@ struct CoordinatorOptions {
 };
 
 /// Lifetime counters of the coordinator.
-struct CoordinatorStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_shed = 0;
-  size_t connections_active = 0;  // gauge
-  uint64_t requests_served = 0;
-  uint64_t request_errors = 0;
+struct CoordinatorStats : EndpointStats {
   /// Fan-out legs attempted / failed at the transport level.
   uint64_t fanout_legs = 0;
   uint64_t fanout_failures = 0;
@@ -177,11 +164,11 @@ struct CoordinatorStats {
 /// make transitions deterministic.
 ///
 /// Mutating RPCs are refused (`kFailedPrecondition`): ingest goes to the
-/// edges, the coordinator is a read-only query plane. Two exceptions ride
-/// the v5 protocol: `kAdminTune` fans out to every eligible shard (tuning
+/// edges, the coordinator is a read-only query plane. Two exceptions:
+/// `kAdminTune` fans out to every eligible shard (tuning
 /// is fleet-wide operator state), and `kSubscribe` registers a standing
 /// query that the coordinator re-subscribes on every eligible edge over
-/// dedicated v5 connections — edge pushes are remapped into the global id
+/// dedicated edge connections — edge pushes are remapped into the global id
 /// space and forwarded to the client merged in (shard index, edge sequence)
 /// order, with the same bounded-queue / drop-oldest / gap-marker contract
 /// the edges themselves give slow subscribers.
@@ -202,7 +189,7 @@ class Coordinator {
   void Shutdown();
 
   /// The bound port (valid after a successful `Start`).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return endpoint_.port(); }
 
   /// One synchronous sync/probe pass over every edge, ignoring probe
   /// backoff: reachable edges are rep-synced (and their camera inventory
@@ -230,27 +217,13 @@ class Coordinator {
     Result result;
   };
 
-  /// Per-connection state shared between the serving thread and the push
-  /// forwarder (mirrors Server::ConnShared).
-  struct ConnShared {
-    uint64_t id = 0;
-    int fd = -1;
-    /// Serializes all frame writes (responses and forwarded pushes).
-    std::mutex write_mu;
-    /// v5 framing active (flipped after a successful v5 Hello response).
-    std::atomic<bool> v5{false};
-    bool negotiated_v5 = false;
-    /// Flipped under `write_mu` before the fd closes, so a forwarded push
-    /// can never land on a recycled descriptor.
-    std::atomic<bool> closed{false};
-  };
-
-  /// One client subscription and its fan-out: dedicated v5 edge clients
+  /// One client subscription and its fan-out: dedicated edge clients
   /// whose push callbacks feed a bounded merge buffer, drained by the
   /// forward-delivery thread into the client connection.
   struct ClientSub {
     uint64_t id = 0;  // coordinator-assigned subscription id
-    std::shared_ptr<ConnShared> conn;
+    /// The endpoint connection that subscribed (and receives the pushes).
+    uint64_t conn_id = 0;
     /// The client's Subscribe correlation — forwarded pushes ride it.
     uint64_t correlation = 0;
     std::mutex mu;  // guards the buffer below (leaf lock)
@@ -269,22 +242,16 @@ class Coordinator {
 
   static int64_t NowMs();
 
-  void AcceptLoop();
-  void HandleConnection(UniqueFd fd, std::shared_ptr<ConnShared> conn);
-  bool ServeOneRequest(const std::shared_ptr<ConnShared>& conn,
-                       bool* hello_done);
-  std::string DispatchRequest(const WireFrame& request, ConnShared* conn,
-                              uint64_t correlation, bool* hello_done,
-                              Status* failure);
-  std::string ExecuteRequest(MsgType type, io::BinaryReader* reader,
-                             Status* failure);
+  /// Fills the endpoint's handler table (the coordinator's read-only RPC
+  /// surface plus Subscribe/Unsubscribe/AdminTune).
+  void RegisterHandlers();
 
   /// kSubscribe: fan the standing query out over the eligible edges and
   /// register the forwarding state. kUnsubscribe / connection teardown undo
   /// it (closing the dedicated edge clients voids the edge subscriptions).
-  std::string HandleSubscribe(ConnShared* conn, uint64_t correlation,
-                              io::BinaryReader* reader, Status* failure);
-  std::string HandleUnsubscribe(ConnShared* conn, io::BinaryReader* reader,
+  std::string HandleSubscribe(const RpcCall& call, io::BinaryReader* reader,
+                              Status* failure);
+  std::string HandleUnsubscribe(const RpcCall& call, io::BinaryReader* reader,
                                 Status* failure);
   std::string HandleAdminTune(io::BinaryReader* reader, Status* failure);
   /// Tears down every subscription owned by `conn_id` (connection closed).
@@ -296,9 +263,8 @@ class Coordinator {
   void OnEdgePush(const std::weak_ptr<ClientSub>& weak, size_t shard,
                   const PushEvent& event);
   /// Drains one subscription's buffer (gap marker first, then events in
-  /// (shard, edge sequence) order) and writes the push frames.
-  void DeliverPending(const std::shared_ptr<ClientSub>& sub,
-                      int64_t write_timeout);
+  /// (shard, edge sequence) order) into push frames for the endpoint.
+  void DeliverPending(const std::shared_ptr<ClientSub>& sub);
   /// The forward-delivery thread: drains subscription buffers in (shard
   /// index, edge sequence) order and writes push frames to clients.
   void ForwardLoop();
@@ -308,9 +274,11 @@ class Coordinator {
                                     Status* failure);
   std::string HandleGetMetaData(io::BinaryReader* reader, Status* failure);
   std::string HandleSvsFeatureMap(io::BinaryReader* reader, Status* failure);
-  std::string HandleMonitorStats(Status* failure);
-  std::string HandleCameraHealth(Status* failure);
-  std::string HandleQueryLoadStats(Status* failure);
+  /// The stats fan-outs never fail: a shard that does not answer just
+  /// contributes nothing. They read no request payload.
+  std::string HandleMonitorStats(io::BinaryReader*, Status*);
+  std::string HandleCameraHealth(io::BinaryReader*, Status*);
+  std::string HandleQueryLoadStats(io::BinaryReader*, Status*);
 
   /// Carves the per-shard deadline out of a client deadline (see
   /// `merge_reserve_ms`); identity when no deadline travels.
@@ -373,11 +341,6 @@ class Coordinator {
   std::mutex pool_mu_;
   std::vector<std::vector<std::unique_ptr<Client>>> idle_clients_;
 
-  // --- Client-facing front end. ---
-  std::unique_ptr<ThreadPool> pool_;
-  UniqueFd listen_fd_;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
@@ -386,7 +349,7 @@ class Coordinator {
   std::condition_variable sync_cv_;
   /// Serializes sync passes (the background thread vs `PollEdgesNow`).
   std::mutex pass_mu_;
-  /// Per-edge rep-push watchers (guarded by `pass_mu_`): dedicated v5
+  /// Per-edge rep-push watchers (guarded by `pass_mu_`): dedicated
   /// clients holding a stats subscription whose callback sets `rep_dirty_`
   /// and wakes the sync thread. Re-established by the next pass when an
   /// edge connection dies (their reconnect budget is zero: a silently
@@ -402,18 +365,6 @@ class Coordinator {
   std::unordered_map<uint64_t, std::shared_ptr<ClientSub>> subs_by_id_;
   std::unordered_map<uint64_t, std::vector<uint64_t>> subs_by_conn_;
 
-  mutable std::mutex mu_;  // guards the connection bookkeeping below
-  std::condition_variable drained_cv_;
-  std::vector<std::future<void>> connection_futures_;
-  size_t active_connections_ = 0;
-  std::vector<int> active_fds_;
-  uint64_t next_conn_id_ = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<ConnShared>> conns_by_id_;
-  uint64_t connections_accepted_ = 0;
-  uint64_t connections_shed_ = 0;
-
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> request_errors_{0};
   std::atomic<uint64_t> fanout_legs_{0};
   std::atomic<uint64_t> fanout_failures_{0};
   std::atomic<uint64_t> degraded_answers_{0};
@@ -424,6 +375,10 @@ class Coordinator {
   std::atomic<uint64_t> pushes_forwarded_{0};
   std::atomic<uint64_t> push_gaps_forwarded_{0};
   std::atomic<uint64_t> rep_push_wakeups_{0};
+
+  /// The client-facing TCP front end. Declared last: its connection
+  /// handlers call back into everything above until it stops.
+  RpcEndpoint endpoint_;
 };
 
 }  // namespace vz::net

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <set>
-#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 #include <utility>
@@ -17,19 +16,6 @@
 namespace vz::net {
 
 namespace {
-
-/// Response payload: a wire status followed by nothing.
-std::string StatusOnlyResponse(const Status& status, int64_t retry_after_ms) {
-  io::BinaryWriter writer;
-  EncodeWireStatus(&writer, {status, retry_after_ms});
-  return writer.buffer();
-}
-
-int64_t ElapsedMs(const std::chrono::steady_clock::time_point& since,
-                  const std::chrono::steady_clock::time_point& now) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(now - since)
-      .count();
-}
 
 /// True for mutating RPCs whose request bytes go into the WAL. Exactly the
 /// state-changing ones: SnapshotSave carries a token (retrying it is
@@ -73,8 +59,14 @@ Server::Server(core::VideoZilla* system, const ServerOptions& options)
       options_(options),
       engine_(SubscriptionEngine::Options{
           options.subscription_queue_capacity,
-          options.subscription_max_drain}) {
+          options.subscription_max_drain}),
+      endpoint_(options, system->thread_pool(),
+                options.idle_timeout_ms > 0
+                    ? options.idle_timeout_ms + options.eviction_grace_ms
+                    : 0,
+                [this](uint64_t conn_id) { engine_.DropConnection(conn_id); }) {
   env_ = options_.env != nullptr ? options_.env : io::Env::Default();
+  RegisterHandlers();
 }
 
 Server::~Server() { Shutdown(); }
@@ -87,18 +79,6 @@ Status Server::Start() {
         "a standby needs its own wal_dir: it mirrors the primary's log and "
         "must survive its own crashes");
   }
-  // Connection handlers live on pool workers for the whole connection, so
-  // the shared pool must actually have workers; a serial system gets a
-  // server-owned pool sized to the connection cap instead.
-  pool_ = system_->thread_pool();
-  if (pool_ == nullptr || pool_->num_threads() < 2) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.max_connections + 1);
-    pool_ = owned_pool_.get();
-  }
-  connection_cap_ =
-      std::min(options_.max_connections, pool_->num_threads() - 1);
-  if (connection_cap_ == 0) connection_cap_ = 1;
-
   // The subscription engine taps segment finalization before recovery runs:
   // replayed segments fire the observer too, but with no subscribers yet the
   // calls are cheap no-ops.
@@ -124,10 +104,7 @@ Status Server::Start() {
 }
 
 Status Server::StartListener() {
-  VZ_ASSIGN_OR_RETURN(listen_fd_,
-                      TcpListen(options_.bind_address, options_.port));
-  VZ_ASSIGN_OR_RETURN(port_, LocalPort(listen_fd_.get()));
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  VZ_RETURN_IF_ERROR(endpoint_.Start(options_.bind_address, options_.port));
   // The push-delivery thread lives exactly as long as the listener (a
   // standby starts it at promotion, with the listener).
   if (!delivery_thread_.joinable()) {
@@ -141,7 +118,11 @@ void Server::StopReplication() {
   if (replication_thread_.joinable()) replication_thread_.join();
 }
 
-void Server::Shutdown() {
+void Server::Shutdown() { Stop(/*drain=*/true); }
+
+void Server::Kill() { Stop(/*drain=*/false); }
+
+void Server::Stop(bool drain) {
   if (!started_) return;
   StopReplication();
   stopping_.store(true);
@@ -151,58 +132,14 @@ void Server::Shutdown() {
     std::lock_guard<std::mutex> lock(ship_mu_);
   }
   ship_cv_.notify_all();
-  if (listen_fd_.valid()) {
-    // Wake the blocking accept; close happens after the thread exits so the
-    // descriptor cannot be reused mid-accept.
-    ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_.Reset();
-
-  // Drain: handlers notice `stopping_` at their next idle poll and finish
-  // the request they are serving first.
-  std::vector<std::future<void>> futures;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool drained = drained_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this] { return active_conns_.empty(); });
-    if (!drained) {
-      for (const auto& [fd, conn] : active_conns_) ::shutdown(fd, SHUT_RDWR);
-    }
-    futures.swap(connection_futures_);
-  }
-  for (std::future<void>& f : futures) {
-    if (f.valid()) f.wait();
-  }
-  if (delivery_thread_.joinable()) delivery_thread_.join();
-  system_->SetSegmentObserver(nullptr);
-  started_ = false;
-}
-
-void Server::Kill() {
-  if (!started_) return;
-  StopReplication();
-  stopping_.store(true);
-  {
-    std::lock_guard<std::mutex> lock(ship_mu_);
-  }
-  ship_cv_.notify_all();
-  if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listen_fd_.Reset();
-  // No drain and no grace: sockets are torn down under the handlers, so
-  // in-flight requests die with unsent responses — exactly the ambiguity
-  // the idempotency tokens exist for. Only already-fsynced records (i.e.
-  // everything acked) are guaranteed to survive.
-  std::vector<std::future<void>> futures;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [fd, conn] : active_conns_) ::shutdown(fd, SHUT_RDWR);
-    futures.swap(connection_futures_);
-  }
-  for (std::future<void>& f : futures) {
-    if (f.valid()) f.wait();
+  // Kill tears sockets down under the handlers: in-flight requests die with
+  // unsent responses — exactly the ambiguity the idempotency tokens exist
+  // for. Only already-fsynced records (i.e. everything acked) are
+  // guaranteed to survive.
+  if (drain) {
+    endpoint_.Shutdown();
+  } else {
+    endpoint_.Kill();
   }
   if (delivery_thread_.joinable()) delivery_thread_.join();
   system_->SetSegmentObserver(nullptr);
@@ -252,15 +189,8 @@ ServerRole Server::role() const {
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   ServerStats stats;
-  stats.connections_accepted = connections_accepted_;
-  stats.connections_shed = connections_shed_;
-  stats.connections_active = active_conns_.size();
-  stats.requests_served = requests_served_.load();
-  stats.request_errors = request_errors_.load();
-  stats.connections_evicted_idle = evicted_idle_.load();
-  stats.connections_evicted_slow = evicted_slow_.load();
+  static_cast<EndpointStats&>(stats) = endpoint_.stats();
   stats.duplicates_replayed = duplicates_replayed_.load();
   stats.pings_served = pings_served_.load();
   stats.sessions_evicted = sessions_evicted_.load();
@@ -311,122 +241,10 @@ ServerStats Server::stats() const {
 }
 
 std::vector<ConnectionInfo> Server::connection_stats() const {
-  const auto now = SteadyClock::now();
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ConnectionInfo> infos;
-  infos.reserve(active_conns_.size());
-  for (const auto& [fd, conn] : active_conns_) {
-    ConnectionInfo info;
-    info.id = conn.id;
-    info.age_ms = ElapsedMs(conn.connected_at, now);
-    info.idle_ms = ElapsedMs(conn.last_activity, now);
-    info.bytes_in = conn.bytes_in;
-    info.bytes_out = conn.bytes_out;
-    info.rpcs = conn.rpcs;
-    infos.push_back(info);
-  }
-  std::sort(infos.begin(), infos.end(),
-            [](const ConnectionInfo& a, const ConnectionInfo& b) {
-              return a.id < b.id;
-            });
-  return infos;
-}
-
-void Server::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto accepted = TcpAccept(listen_fd_.get());
-    if (!accepted.ok()) {
-      if (stopping_.load()) return;
-      continue;  // transient accept failure (e.g. EMFILE burst)
-    }
-    UniqueFd fd = std::move(*accepted);
-    (void)SetTcpNoDelay(fd.get());
-
-    std::lock_guard<std::mutex> lock(mu_);
-    ++connections_accepted_;
-    if (stopping_.load() || active_conns_.size() >= connection_cap_) {
-      // Connection-level shedding: answer with the same wire status an
-      // admission shed produces, so one client backoff path covers both.
-      ++connections_shed_;
-      const Status shed = Status::ResourceExhausted(
-          "server at connection capacity (" +
-          std::to_string(connection_cap_) + "); retry later");
-      (void)WriteFrame(
-          fd.get(), static_cast<uint32_t>(MsgType::kHello) | kResponseFlag,
-          StatusOnlyResponse(shed, options_.shed_retry_after_ms),
-          options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1);
-      continue;  // fd closes on scope exit
-    }
-    ConnState conn;
-    conn.id = ++next_connection_id_;
-    conn.connected_at = SteadyClock::now();
-    conn.last_activity = conn.connected_at;
-    auto shared = std::make_shared<ConnShared>();
-    shared->id = conn.id;
-    shared->fd = fd.get();
-    conn.shared = shared;
-    active_conns_.emplace(fd.get(), conn);
-    conns_by_id_.emplace(shared->id, shared);
-    // Completed connections leave stale ready futures behind; reap them
-    // while we hold the lock anyway.
-    std::erase_if(connection_futures_, [](std::future<void>& f) {
-      return !f.valid() ||
-             f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-    });
-    connection_futures_.push_back(
-        pool_->Submit([this, raw = fd.Release(), shared]() mutable {
-          HandleConnection(UniqueFd(raw), std::move(shared));
-        }));
-  }
-}
-
-void Server::TouchConnection(int fd, uint64_t bytes_in, uint64_t bytes_out,
-                             bool completed_rpc) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = active_conns_.find(fd);
-  if (it == active_conns_.end()) return;
-  it->second.last_activity = SteadyClock::now();
-  it->second.bytes_in += bytes_in;
-  it->second.bytes_out += bytes_out;
-  if (completed_rpc) ++it->second.rpcs;
-}
-
-void Server::HandleConnection(UniqueFd fd, std::shared_ptr<ConnShared> conn) {
-  bool hello_done = false;
-  // The idle clock: any completed request (including kPing) resets it.
-  auto last_activity = SteadyClock::now();
-  while (!stopping_.load()) {
-    auto readable = WaitReadable(fd.get(), options_.idle_poll_ms);
-    if (!readable.ok()) break;
-    if (!*readable) {
-      if (options_.idle_timeout_ms > 0 &&
-          ElapsedMs(last_activity, SteadyClock::now()) >
-              options_.idle_timeout_ms + options_.eviction_grace_ms) {
-        evicted_idle_.fetch_add(1);
-        break;
-      }
-      continue;  // idle; re-check the stop flag
-    }
-    if (!ServeOneRequest(conn, &hello_done)) break;
-    last_activity = SteadyClock::now();
-  }
-  // Push teardown BEFORE the socket closes: `closed` is flipped under
-  // `write_mu`, and every delivery write re-checks it under the same lock,
-  // so no push can land on a recycled fd number.
-  {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    conn->closed.store(true);
-  }
-  engine_.DropConnection(conn->id);
-  std::lock_guard<std::mutex> lock(mu_);
-  conns_by_id_.erase(conn->id);
-  active_conns_.erase(fd.get());
-  if (active_conns_.empty()) drained_cv_.notify_all();
+  return endpoint_.connection_stats();
 }
 
 void Server::DeliveryLoop() {
-  const int64_t write_timeout =
-      options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1;
   while (!stopping_.load()) {
     if (!engine_.WaitForWork(options_.push_poll_ms > 0 ? options_.push_poll_ms
                                                        : 50)) {
@@ -434,263 +252,93 @@ void Server::DeliveryLoop() {
     }
     for (const uint64_t conn_id : engine_.ConnectionsWithPending()) {
       if (stopping_.load()) break;
-      std::shared_ptr<ConnShared> conn;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = conns_by_id_.find(conn_id);
-        if (it != conns_by_id_.end()) conn = it->second;
-      }
-      // A vanished connection is mid-teardown; its handler's DropConnection
-      // reclaims the queues.
-      if (conn == nullptr || !conn->v5.load(std::memory_order_acquire)) {
-        continue;
-      }
-      // Zero-timeout writability probe: a subscriber whose receive window
-      // is full is skipped this round. Its queues keep absorbing events
-      // (dropping oldest past capacity) — backpressure lands on the slow
-      // subscriber alone, never on ingest or on other connections.
-      auto writable = WaitWritable(conn->fd, 0);
-      if (!writable.ok() || !*writable) continue;
-      const std::vector<SubscriptionEngine::Delivery> deliveries =
-          engine_.Drain(conn_id);
-      if (deliveries.empty()) continue;
-      std::vector<std::string> frames;
-      frames.reserve(deliveries.size());
+      uint64_t pushes = 0;
       uint64_t gaps = 0;
-      uint64_t bytes_out = 0;
-      for (const SubscriptionEngine::Delivery& delivery : deliveries) {
-        io::BinaryWriter writer;
-        EncodePushEvent(&writer, delivery.event);
-        if (delivery.event.kind == PushKind::kGap) ++gaps;
-        frames.push_back(
-            EncodeFrameV5(static_cast<uint32_t>(MsgType::kPushEvent),
+      const bool written = endpoint_.PushFrames(conn_id, [&] {
+        const std::vector<SubscriptionEngine::Delivery> deliveries =
+            engine_.Drain(conn_id);
+        std::vector<std::string> frames;
+        frames.reserve(deliveries.size());
+        for (const SubscriptionEngine::Delivery& delivery : deliveries) {
+          io::BinaryWriter writer;
+          EncodePushEvent(&writer, delivery.event);
+          if (delivery.event.kind == PushKind::kGap) ++gaps;
+          frames.push_back(
+              EncodeFrame(static_cast<uint32_t>(MsgType::kPushEvent),
                           delivery.correlation, writer.buffer()));
-        bytes_out += frames.back().size();
-      }
-      Status written = Status::OK();
-      bool conn_gone = false;
-      {
-        std::lock_guard<std::mutex> write_lock(conn->write_mu);
-        if (conn->closed.load()) {
-          conn_gone = true;  // drained events die with the connection
-        } else {
-          // The probe said writable, so this write normally completes
-          // without blocking; a peer that stalls mid-frame still runs into
-          // the write deadline and is evicted — never a torn frame.
-          written = WriteEncodedFrames(conn->fd, frames, write_timeout);
-          if (!written.ok()) ::shutdown(conn->fd, SHUT_RDWR);
         }
+        pushes = deliveries.size();
+        return frames;
+      });
+      if (written) {
+        pushes_sent_.fetch_add(pushes);
+        push_gaps_sent_.fetch_add(gaps);
       }
-      if (conn_gone) continue;
-      if (!written.ok()) {
-        if (written.code() == StatusCode::kUnavailable) {
-          evicted_slow_.fetch_add(1);
-        }
-        continue;  // the handler notices the shutdown and tears down
-      }
-      pushes_sent_.fetch_add(deliveries.size());
-      push_gaps_sent_.fetch_add(gaps);
-      TouchConnection(conn->fd, 0, bytes_out, false);
     }
   }
 }
 
-bool Server::ServeOneRequest(const std::shared_ptr<ConnShared>& conn,
-                             bool* hello_done) {
-  const int fd = conn->fd;
-  const int64_t read_timeout =
-      options_.read_timeout_ms > 0 ? options_.read_timeout_ms : -1;
-  const int64_t write_timeout =
-      options_.write_timeout_ms > 0 ? options_.write_timeout_ms : -1;
-  // The framing is fixed for the whole request/response exchange: a v5
-  // Hello's own response still travels in legacy framing (the flag flips
-  // only after it is written).
-  const bool v5 = conn->v5.load(std::memory_order_acquire);
-
-  // All writes (responses here, pushes in DeliveryLoop) serialize on the
-  // connection's write lock so frames never interleave mid-frame.
-  auto write_response = [&](uint32_t type, uint64_t correlation,
-                            const std::string& payload) {
-    std::lock_guard<std::mutex> write_lock(conn->write_mu);
-    return v5 ? WriteFrameV5(fd, type, correlation, payload, write_timeout)
-              : WriteFrame(fd, type, payload, write_timeout);
-  };
-
-  // The caller saw the first byte, so the whole frame now has to arrive
-  // within the read deadline — a sender trickling bytes is a slow client.
-  uint64_t correlation = 0;
-  WireFrame request;
-  Status read_status;
-  if (v5) {
-    auto framed = ReadFrameV5(fd, read_timeout);
-    if (framed.ok()) {
-      correlation = framed->correlation;
-      request.type = framed->type;
-      request.payload = std::move(framed->payload);
-    } else {
-      read_status = framed.status();
-    }
-  } else {
-    auto framed = ReadFrame(fd, read_timeout);
-    if (framed.ok()) {
-      request = std::move(*framed);
-    } else {
-      read_status = framed.status();
-    }
+void Server::RegisterHandlers() {
+  for (MsgType type :
+       {MsgType::kPing, MsgType::kDirectQuery, MsgType::kClusteringQueryById,
+        MsgType::kClusteringQueryByMap, MsgType::kGetMetaData,
+        MsgType::kMonitorStats, MsgType::kCameraHealth,
+        MsgType::kQueryLoadStats, MsgType::kWalShip, MsgType::kRepSync,
+        MsgType::kSvsFeatureMap, MsgType::kCheckpointFetch}) {
+    endpoint_.Handle(type, [this, type](const RpcCall&,
+                                        io::BinaryReader* request,
+                                        Status* failure) {
+      return ExecuteRequest(type, request, failure);
+    });
   }
-  if (!read_status.ok()) {
-    if (read_status.code() == StatusCode::kUnavailable) {
-      evicted_slow_.fetch_add(1);
-      return false;  // no response: the peer is not keeping up anyway
-    }
-    // Clean disconnect between frames is the normal end of a connection;
-    // everything else (torn frame, checksum mismatch, unknown type) gets a
-    // best-effort error response before the close. On a v5 connection the
-    // request's correlation never arrived intact, so the error rides
-    // correlation 0 — the client treats that as connection-fatal.
-    if (read_status.code() != StatusCode::kNotFound) {
-      request_errors_.fetch_add(1);
-      (void)write_response(
-          static_cast<uint32_t>(MsgType::kHello) | kResponseFlag, 0,
-          StatusOnlyResponse(read_status, 0));
-    }
-    return false;
+  for (MsgType type :
+       {MsgType::kCameraStart, MsgType::kCameraTerminate,
+        MsgType::kIngestFrame, MsgType::kIngestBatch, MsgType::kFlush,
+        MsgType::kSnapshotSave, MsgType::kSnapshotLoad, MsgType::kAdminTune}) {
+    endpoint_.Handle(type, [this, type](const RpcCall&,
+                                        io::BinaryReader* request,
+                                        Status* failure) {
+      return HandleMutating(type, request, failure);
+    });
   }
-  if ((request.type & kResponseFlag) != 0 ||
-      request.type == static_cast<uint32_t>(MsgType::kPushEvent)) {
-    request_errors_.fetch_add(1);
-    (void)write_response(request.type | kResponseFlag, correlation,
-                         StatusOnlyResponse(
-                             Status::InvalidArgument(
-                                 "response or push frame sent as request"),
-                             0));
-    return false;
-  }
-
-  Status failure;
-  const std::string response =
-      DispatchRequest(request, conn.get(), correlation, hello_done, &failure);
-  if (failure.ok()) {
-    requests_served_.fetch_add(1);
-  } else {
-    request_errors_.fetch_add(1);
-  }
-  TouchConnection(fd,
-                  v5 ? WireFrameBytesV5(request.payload.size())
-                     : WireFrameBytes(request.payload.size()),
-                  v5 ? WireFrameBytesV5(response.size())
-                     : WireFrameBytes(response.size()),
-                  failure.ok());
-  if (Status s = write_response(request.type | kResponseFlag, correlation,
-                                response);
-      !s.ok()) {
-    // A reader that stopped draining its responses is as stuck as a writer
-    // that stopped sending.
-    if (s.code() == StatusCode::kUnavailable) evicted_slow_.fetch_add(1);
-    return false;
-  }
-  // A successful v5 Hello switches the connection's framing from here on;
-  // the Hello exchange itself always uses the legacy layout.
-  if (!v5 && conn->negotiated_v5) {
-    conn->v5.store(true, std::memory_order_release);
-  }
-  // Wake stats subscriptions when a mutation may have advanced the index
-  // version (the segment observer already handled match subscriptions).
-  if (failure.ok() && IsMutatingType(request.type)) {
-    engine_.OnIndexVersion(system_->index_version());
-  }
-  // A protocol-ordering violation (RPC before Hello, bad version) closes the
-  // connection after the error response; RPC-level failures (unknown camera,
-  // shed query) keep it open.
-  if (!failure.ok() && (failure.code() == StatusCode::kFailedPrecondition &&
-                        !*hello_done)) {
-    return false;
-  }
-  return true;
-}
-
-std::string Server::DispatchRequest(const WireFrame& request, ConnShared* conn,
-                                    uint64_t correlation, bool* hello_done,
-                                    Status* failure) {
-  io::BinaryReader reader(request.payload);
-  const MsgType type = static_cast<MsgType>(request.type);
-
-  if (type == MsgType::kHello) {
-    auto version = reader.ReadU32();
-    if (!version.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         version.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    io::BinaryWriter writer;
-    if (*version < kMinProtocolVersion || *version > kProtocolVersion) {
-      *failure = Status::FailedPrecondition(
-          "protocol version mismatch: client speaks v" +
-          std::to_string(*version) + ", server speaks v" +
-          std::to_string(kMinProtocolVersion) + "-v" +
-          std::to_string(kProtocolVersion));
-      EncodeWireStatus(&writer, {*failure, 0});
-    } else {
-      *hello_done = true;
-      // A v4 client keeps the legacy framing for the whole connection; a
-      // v5 client switches after this response is written.
-      conn->negotiated_v5 = *version >= 5;
-      EncodeWireStatus(&writer, {Status::OK(), 0});
-    }
-    writer.WriteU32(kProtocolVersion);
-    return writer.buffer();
-  }
-  if (!*hello_done) {
-    *failure =
-        Status::FailedPrecondition("first message must be Hello");
-    return StatusOnlyResponse(*failure, 0);
-  }
-
   // Subscription management is connection-scoped (no idempotency token: a
   // lost reply costs nothing — subscriptions die with the connection and
   // re-subscribing is cheap and exact).
-  if (type == MsgType::kSubscribe) {
-    auto spec = DecodeSubscribeRequest(&reader);
-    if (!spec.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         spec.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    if (!conn->v5.load(std::memory_order_acquire)) {
-      *failure = Status::FailedPrecondition(
-          "Subscribe requires protocol v5: push frames are multiplexed by "
-          "correlation id, which v4 framing cannot carry");
-      return StatusOnlyResponse(*failure, 0);
-    }
-    const uint64_t id = engine_.Subscribe(conn->id, correlation,
-                                          std::move(*spec));
+  endpoint_.Handle(MsgType::kSubscribe, [this](const RpcCall& call,
+                                               io::BinaryReader* request,
+                                               Status* failure) {
+    auto spec = DecodeSubscribeRequest(request);
+    if (!spec.ok()) return MalformedPayload(spec.status(), failure);
+    const uint64_t id =
+        engine_.Subscribe(call.conn_id, call.correlation, std::move(*spec));
     io::BinaryWriter writer;
     EncodeWireStatus(&writer, {Status::OK(), 0});
     writer.WriteU64(id);
     return writer.buffer();
-  }
-  if (type == MsgType::kUnsubscribe) {
-    auto id = reader.ReadU64();
-    if (!id.ok()) {
-      *failure = Status::InvalidArgument("malformed payload: " +
-                                         id.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    const Status cancelled = engine_.Unsubscribe(conn->id, *id);
-    if (!cancelled.ok()) *failure = cancelled;
-    return StatusOnlyResponse(cancelled, 0);
-  }
+  });
+  endpoint_.Handle(MsgType::kUnsubscribe, [this](const RpcCall& call,
+                                                 io::BinaryReader* request,
+                                                 Status* failure) {
+    auto id = request->ReadU64();
+    if (!id.ok()) return MalformedPayload(id.status(), failure);
+    *failure = engine_.Unsubscribe(call.conn_id, *id);
+    return StatusOnlyResponse(*failure);
+  });
+}
 
-  if (IsMutatingType(request.type)) {
-    auto token = DecodeIdempotencyToken(&reader);
-    if (!token.ok()) {
-      *failure = Status::InvalidArgument("malformed idempotency token: " +
-                                         token.status().message());
-      return StatusOnlyResponse(*failure, 0);
-    }
-    return DispatchMutating(type, *token, &reader, failure);
+std::string Server::HandleMutating(MsgType type, io::BinaryReader* reader,
+                                   Status* failure) {
+  auto token = DecodeIdempotencyToken(reader);
+  if (!token.ok()) {
+    *failure = Status::InvalidArgument("malformed idempotency token: " +
+                                       token.status().message());
+    return StatusOnlyResponse(*failure);
   }
-  return ExecuteRequest(type, &reader, failure);
+  std::string response = DispatchMutating(type, *token, reader, failure);
+  // Wake stats subscriptions when the mutation may have advanced the index
+  // version (the segment observer already handled match subscriptions).
+  if (failure->ok()) engine_.OnIndexVersion(system_->index_version());
+  return response;
 }
 
 std::string Server::DispatchMutating(MsgType type,
@@ -909,38 +557,18 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
   const int64_t retry_after_ms =
       system_->options().admission.retry_after_hint_ms;
 
-  // Everything the payload decoders reject is a malformed (but
-  // CRC-consistent) payload: answer kInvalidArgument, keep the connection.
-  auto malformed = [&](const Status& status) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       status.message());
-    return StatusOnlyResponse(*failure, 0);
-  };
-
   switch (type) {
-    case MsgType::kCameraStart:
-    case MsgType::kCameraTerminate:
-    case MsgType::kIngestFrame:
-    case MsgType::kIngestBatch:
-    case MsgType::kFlush:
-    case MsgType::kSnapshotSave:
-    case MsgType::kSnapshotLoad:
-    case MsgType::kAdminTune: {
-      // Mutating RPCs normally arrive through DispatchMutating (which
-      // holds the state lock across execute + log); this path only serves
-      // callers that bypass the token preamble.
-      std::unique_lock<std::shared_mutex> lock(state_mu_);
-      return ExecuteMutating(type, &reader, failure);
-    }
     case MsgType::kPing: {
       pings_served_.fetch_add(1);
       return StatusOnlyResponse(Status::OK(), 0);
     }
     case MsgType::kDirectQuery: {
       auto feature = DecodeFeatureVector(&reader);
-      if (!feature.ok()) return malformed(feature.status());
+      if (!feature.ok()) return MalformedPayload(feature.status(), failure);
       auto constraints = DecodeQueryConstraints(&reader);
-      if (!constraints.ok()) return malformed(constraints.status());
+      if (!constraints.ok()) {
+        return MalformedPayload(constraints.status(), failure);
+      }
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       auto result = system_->DirectQuery(*feature, *constraints);
       io::BinaryWriter writer;
@@ -959,16 +587,20 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
           Status::Internal("unreachable");
       if (type == MsgType::kClusteringQueryById) {
         auto id = reader.ReadI64();
-        if (!id.ok()) return malformed(id.status());
+        if (!id.ok()) return MalformedPayload(id.status(), failure);
         auto constraints = DecodeQueryConstraints(&reader);
-        if (!constraints.ok()) return malformed(constraints.status());
+        if (!constraints.ok()) {
+          return MalformedPayload(constraints.status(), failure);
+        }
         std::shared_lock<std::shared_mutex> lock(state_mu_);
         result = system_->ClusteringQuery(*id, *constraints);
       } else {
         auto target = DecodeFeatureMap(&reader);
-        if (!target.ok()) return malformed(target.status());
+        if (!target.ok()) return MalformedPayload(target.status(), failure);
         auto constraints = DecodeQueryConstraints(&reader);
-        if (!constraints.ok()) return malformed(constraints.status());
+        if (!constraints.ok()) {
+          return MalformedPayload(constraints.status(), failure);
+        }
         std::shared_lock<std::shared_mutex> lock(state_mu_);
         result = system_->ClusteringQuery(*target, *constraints);
       }
@@ -984,7 +616,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
     }
     case MsgType::kGetMetaData: {
       auto id = reader.ReadI64();
-      if (!id.ok()) return malformed(id.status());
+      if (!id.ok()) return MalformedPayload(id.status(), failure);
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       auto meta = system_->GetMetaData(*id);
       io::BinaryWriter writer;
@@ -1065,7 +697,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
     }
     case MsgType::kWalShip: {
       auto request = DecodeWalShipRequest(&reader);
-      if (!request.ok()) return malformed(request.status());
+      if (!request.ok()) return MalformedPayload(request.status(), failure);
       if (wal_ == nullptr) {
         *failure = Status::FailedPrecondition(
             "server runs without a WAL; nothing to ship");
@@ -1124,7 +756,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
     }
     case MsgType::kRepSync: {
       auto request = DecodeRepSyncRequest(&reader);
-      if (!request.ok()) return malformed(request.status());
+      if (!request.ok()) return MalformedPayload(request.status(), failure);
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       RepSyncReply reply;
       reply.version = system_->index_version();
@@ -1142,7 +774,7 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
     }
     case MsgType::kSvsFeatureMap: {
       auto id = reader.ReadI64();
-      if (!id.ok()) return malformed(id.status());
+      if (!id.ok()) return MalformedPayload(id.status(), failure);
       std::shared_lock<std::shared_mutex> lock(state_mu_);
       auto svs = system_->svs_store().Get(*id);
       io::BinaryWriter writer;
@@ -1200,12 +832,8 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
       *failure = Status::NotFound("no valid checkpoint pair to fetch");
       return StatusOnlyResponse(*failure, 0);
     }
-    case MsgType::kHello:
-    case MsgType::kSubscribe:
-    case MsgType::kUnsubscribe:
-      break;  // handled before dispatch (they need connection identity)
-    case MsgType::kPushEvent:
-      break;  // server->client only; rejected before dispatch
+    default:
+      break;  // every other type has its own handler
   }
   *failure = Status::Unimplemented("unhandled message type " +
                                    std::to_string(static_cast<uint32_t>(type)));
@@ -1215,28 +843,22 @@ std::string Server::ExecuteRequest(MsgType type, io::BinaryReader* reader_ptr,
 std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
                                     Status* failure) {
   io::BinaryReader& reader = *reader_ptr;
-  auto malformed = [&](const Status& status) {
-    *failure = Status::InvalidArgument("malformed payload: " +
-                                       status.message());
-    return StatusOnlyResponse(*failure, 0);
-  };
-
   switch (type) {
     case MsgType::kCameraStart: {
       auto camera = reader.ReadString();
-      if (!camera.ok()) return malformed(camera.status());
+      if (!camera.ok()) return MalformedPayload(camera.status(), failure);
       *failure = system_->CameraStart(*camera);
       return StatusOnlyResponse(*failure, 0);
     }
     case MsgType::kCameraTerminate: {
       auto camera = reader.ReadString();
-      if (!camera.ok()) return malformed(camera.status());
+      if (!camera.ok()) return MalformedPayload(camera.status(), failure);
       *failure = system_->CameraTerminate(*camera);
       return StatusOnlyResponse(*failure, 0);
     }
     case MsgType::kIngestFrame: {
       auto frame = DecodeFrameObservation(&reader);
-      if (!frame.ok()) return malformed(frame.status());
+      if (!frame.ok()) return MalformedPayload(frame.status(), failure);
       *failure = system_->IngestFrame(*frame);
       return StatusOnlyResponse(*failure, 0);
     }
@@ -1246,11 +868,11 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
       // the overall RPC succeeds with deterministic accept/reject counts,
       // so WAL replay regenerates byte-identical state and response.
       auto count = reader.ReadU32();
-      if (!count.ok()) return malformed(count.status());
+      if (!count.ok()) return MalformedPayload(count.status(), failure);
       IngestBatchReply result;
       for (uint32_t i = 0; i < *count; ++i) {
         auto frame = DecodeFrameObservation(&reader);
-        if (!frame.ok()) return malformed(frame.status());
+        if (!frame.ok()) return MalformedPayload(frame.status(), failure);
         if (system_->IngestFrame(*frame).ok()) {
           ++result.accepted;
         } else {
@@ -1265,7 +887,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
     }
     case MsgType::kAdminTune: {
       auto request = DecodeAdminTuneRequest(&reader);
-      if (!request.ok()) return malformed(request.status());
+      if (!request.ok()) return MalformedPayload(request.status(), failure);
       if (request->index_mode.has_value() &&
           *request->index_mode >
               static_cast<uint32_t>(core::IndexMode::kFlat)) {
@@ -1334,7 +956,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
     }
     case MsgType::kSnapshotSave: {
       auto path = reader.ReadString();
-      if (!path.ok()) return malformed(path.status());
+      if (!path.ok()) return MalformedPayload(path.status(), failure);
       *failure = io::SaveSvsStore(system_->svs_store(), *path, env_);
       if (!failure->ok() && (failure->code() == StatusCode::kDataLoss ||
                              failure->code() == StatusCode::kResourceExhausted)) {
@@ -1344,7 +966,7 @@ std::string Server::ExecuteMutating(MsgType type, io::BinaryReader* reader_ptr,
     }
     case MsgType::kSnapshotLoad: {
       auto path = reader.ReadString();
-      if (!path.ok()) return malformed(path.status());
+      if (!path.ok()) return MalformedPayload(path.status(), failure);
       core::SvsStore loaded;
       *failure = io::LoadSvsStore(*path, &loaded, {}, nullptr, env_);
       if (failure->ok()) {

@@ -2,10 +2,8 @@
 #define VZ_NET_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,11 +14,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/socket.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/videozilla.h"
 #include "io/wal.h"
+#include "net/rpc_endpoint.h"
 #include "net/subscription.h"
 #include "net/wire.h"
 
@@ -28,36 +25,16 @@ namespace vz::net {
 
 class Client;
 
-/// Configuration of the TCP serving front end.
-struct ServerOptions {
+/// Configuration of the TCP serving front end. Connection handling (cap,
+/// shed hint, deadlines, drain) comes from `EndpointOptions`.
+struct ServerOptions : EndpointOptions {
   /// Port to listen on; 0 lets the kernel pick (read back with `port()`).
   uint16_t port = 0;
   std::string bind_address = "127.0.0.1";
-  /// Concurrent connections served; arrivals beyond this are answered with a
-  /// wire-level `kResourceExhausted` (retry-after attached) and closed —
-  /// connection-level shedding mirroring the admission controller's
-  /// query-level shedding. Also capped by the worker count of the pool the
-  /// server runs on (a connection handler needs a worker for its lifetime).
-  size_t max_connections = 8;
-  /// Retry-after hint attached to connection-level sheds.
-  int64_t shed_retry_after_ms = 50;
-  /// Cadence at which idle connection handlers re-check the shutdown flag.
-  int64_t idle_poll_ms = 50;
-  /// Budget `Shutdown` grants in-flight requests before force-closing the
-  /// remaining sockets.
-  int64_t drain_timeout_ms = 10'000;
 
-  // --- Connection supervision (see DESIGN.md, "Exactly-once and connection
+  // --- Idle eviction (see DESIGN.md, "Exactly-once and connection
   // --- supervision"). ---
 
-  /// Once the first byte of a request frame is readable, the whole frame
-  /// must arrive within this budget; a sender trickling bytes past it is
-  /// evicted as a slow client. <= 0 disables the read deadline.
-  int64_t read_timeout_ms = 10'000;
-  /// A response must be accepted by the peer's receive window within this
-  /// budget; a reader that stops draining is evicted as a slow client.
-  /// <= 0 disables the write deadline.
-  int64_t write_timeout_ms = 10'000;
   /// A connection with no completed request for longer than
   /// `idle_timeout_ms + eviction_grace_ms` is evicted. `kPing` resets the
   /// idle clock without touching any state. <= 0 disables idle eviction.
@@ -65,8 +42,8 @@ struct ServerOptions {
   /// Grace granted past the idle deadline before the connection is closed.
   int64_t eviction_grace_ms = 100;
 
-  // --- Standing-query push delivery (protocol v5; see DESIGN.md, "Standing
-  // --- queries and multiplexing"). ---
+  // --- Standing-query push delivery (see DESIGN.md, "Standing queries and
+  // --- multiplexing"). ---
 
   /// Bounded per-subscription event queue; when full the oldest event is
   /// dropped and counted into the next `PushKind::kGap` marker. A slow
@@ -145,16 +122,7 @@ struct ServerOptions {
 };
 
 /// Counters of the serving layer (all lifetime totals except the gauges).
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_shed = 0;
-  size_t connections_active = 0;  // gauge
-  uint64_t requests_served = 0;
-  uint64_t request_errors = 0;
-  /// Supervision evictions: no completed request past the idle deadline
-  /// plus grace / a frame read or write that overran its deadline.
-  uint64_t connections_evicted_idle = 0;
-  uint64_t connections_evicted_slow = 0;
+struct ServerStats : EndpointStats {
   /// Mutating RPCs answered from a session's dedup window instead of being
   /// re-applied (exactly-once in action).
   uint64_t duplicates_replayed = 0;
@@ -180,7 +148,7 @@ struct ServerStats {
   uint64_t replication_reseeds = 0;
   /// The promotion epoch this server serves under (1 = never failed over).
   uint64_t wal_epoch = 0;
-  /// Standing-query subscriptions (protocol v5 push path).
+  /// Standing-query subscriptions (the push path).
   uint64_t subscriptions_active = 0;  // gauge
   uint64_t subscriptions_total = 0;
   uint64_t pushes_sent = 0;
@@ -203,9 +171,9 @@ struct ServerStats {
   bool read_only = false;
 };
 
-/// TCP front end over one `VideoZilla` instance: an accept loop plus
-/// per-connection handlers running on the shared `ThreadPool` (the system's
-/// query pool when it has workers, otherwise a pool owned by the server).
+/// TCP front end over one `VideoZilla` instance: a handler table on an
+/// `RpcEndpoint`, whose per-connection handlers run on the system's query
+/// pool when it has workers (otherwise on a pool the endpoint owns).
 ///
 /// Request handling preserves the library's concurrency contract: queries
 /// and stats reads from different connections run concurrently (shared
@@ -277,7 +245,7 @@ class Server {
   ServerRole role() const;
 
   /// The bound port (valid after a successful `Start`).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return endpoint_.port(); }
 
   ServerStats stats() const;
 
@@ -285,40 +253,6 @@ class Server {
   std::vector<ConnectionInfo> connection_stats() const;
 
  private:
-  using SteadyClock = std::chrono::steady_clock;
-
-  /// State shared between a connection's handler thread and the delivery
-  /// thread (protocol v5 push path). Held by `shared_ptr` so the delivery
-  /// thread can outlive the registry entry safely: the handler marks
-  /// `closed` under `write_mu` before its socket is destroyed, and every
-  /// delivery write re-checks `closed` under the same lock — a push can
-  /// never land on a recycled fd number.
-  struct ConnShared {
-    uint64_t id = 0;
-    int fd = -1;
-    /// Serializes response writes (handler) against push writes (delivery
-    /// thread). Never held while blocking on anything but the socket.
-    std::mutex write_mu;
-    /// Set once the v5 Hello response has been written; all subsequent
-    /// frames on this connection use v5 framing.
-    std::atomic<bool> v5{false};
-    /// Set by the Hello dispatch; ServeOneRequest flips `v5` after writing
-    /// the Hello response (which itself always uses legacy framing).
-    bool negotiated_v5 = false;
-    std::atomic<bool> closed{false};
-  };
-
-  /// Registry entry of one live connection.
-  struct ConnState {
-    uint64_t id = 0;
-    SteadyClock::time_point connected_at;
-    SteadyClock::time_point last_activity;
-    uint64_t bytes_in = 0;
-    uint64_t bytes_out = 0;
-    uint64_t rpcs = 0;
-    std::shared_ptr<ConnShared> shared;
-  };
-
   /// A cached mutating response plus the WAL LSN that made it durable (0
   /// when the server runs without a WAL, or when the entry was rebuilt
   /// during recovery — then the log already holds it). A duplicate replayed
@@ -347,26 +281,23 @@ class Server {
     uint64_t last_used_tick = 0;
   };
 
-  /// Binds `options().port` and spawns the accept thread.
+  /// Fills the endpoint's handler table: token-free RPCs run through
+  /// `ExecuteRequest`, mutating ones through the exactly-once path, and
+  /// Subscribe/Unsubscribe through the subscription engine.
+  void RegisterHandlers();
+  /// Starts the endpoint on `options().port` and the push-delivery thread.
   Status StartListener();
-  void AcceptLoop();
-  void HandleConnection(UniqueFd fd, std::shared_ptr<ConnShared> conn);
-  /// Serves one already-readable request; false when the connection should
-  /// close (clean disconnect, torn frame, protocol violation, eviction).
-  bool ServeOneRequest(const std::shared_ptr<ConnShared>& conn,
-                       bool* hello_done);
-  /// Builds the response payload for one decoded request. `correlation` is
-  /// the v5 request's correlation id (0 on v4 connections); Subscribe
-  /// registers it as the push-routing key.
-  std::string DispatchRequest(const WireFrame& request, ConnShared* conn,
-                              uint64_t correlation, bool* hello_done,
-                              Status* failure);
-  /// The delivery thread: waits on the subscription engine, probes each
-  /// pending connection for writability (a non-writable socket is simply
-  /// skipped — its queues drop oldest), and writes drained pushes as
-  /// gathered v5 frames. A write that overruns `write_timeout_ms` evicts
-  /// the subscriber as a slow client.
+  /// Shutdown (`drain`) or Kill.
+  void Stop(bool drain);
+  /// The delivery thread: waits on the subscription engine and hands each
+  /// pending connection's drained pushes to `RpcEndpoint::PushFrames` (a
+  /// connection that cannot take bytes now is skipped — its queues drop
+  /// oldest).
   void DeliveryLoop();
+  /// Mutating-RPC handler: decodes the idempotency token, runs
+  /// `DispatchMutating`, and wakes stats subscriptions on success.
+  std::string HandleMutating(MsgType type, io::BinaryReader* reader,
+                             Status* failure);
   /// Runs a tokened mutating request exactly once: replays from the session
   /// window, waits out a concurrent execution of the same sequence, or
   /// executes, logs, caches the response, and waits for durability (and,
@@ -389,8 +320,6 @@ class Server {
   /// duplicate waiters.
   void CacheSessionResponse(Session* session, uint64_t sequence,
                             const std::string& response, uint64_t lsn);
-  void TouchConnection(int fd, uint64_t bytes_in, uint64_t bytes_out,
-                       bool completed_rpc);
 
   // --- Durability. ---
 
@@ -442,13 +371,6 @@ class Server {
 
   core::VideoZilla* system_;
   const ServerOptions options_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // when the system runs serial
-  ThreadPool* pool_ = nullptr;
-  size_t connection_cap_ = 0;
-
-  UniqueFd listen_fd_;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
@@ -462,25 +384,11 @@ class Server {
   std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions_;
   uint64_t session_tick_ = 0;
 
-  mutable std::mutex mu_;  // guards everything below
-  std::condition_variable drained_cv_;
-  std::vector<std::future<void>> connection_futures_;
-  std::unordered_map<int, ConnState> active_conns_;
-  /// Connection id -> shared state, for the delivery thread (which routes
-  /// by the engine's connection ids, not fds).
-  std::unordered_map<uint64_t, std::shared_ptr<ConnShared>> conns_by_id_;
-  uint64_t next_connection_id_ = 0;
-  uint64_t connections_accepted_ = 0;
-  uint64_t connections_shed_ = 0;
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> request_errors_{0};
-  std::atomic<uint64_t> evicted_idle_{0};
-  std::atomic<uint64_t> evicted_slow_{0};
   std::atomic<uint64_t> duplicates_replayed_{0};
   std::atomic<uint64_t> pings_served_{0};
   std::atomic<uint64_t> sessions_evicted_{0};
 
-  // --- Standing-query push state (protocol v5). ---
+  // --- Standing-query push state. ---
 
   SubscriptionEngine engine_;
   std::thread delivery_thread_;
@@ -537,6 +445,10 @@ class Server {
   /// demoted by a failover it never saw: the request is refused instead of
   /// acked.
   std::atomic<uint64_t> wal_epoch_{1};
+
+  /// The TCP front end. Declared last: its connection handlers call back
+  /// into everything above until it stops.
+  RpcEndpoint endpoint_;
 };
 
 }  // namespace vz::net

@@ -22,15 +22,22 @@
 namespace vz::net {
 
 /// Wire protocol of the Video-zilla serving layer (see DESIGN.md, "Network
-/// service"). Every message travels as one length-prefixed, CRC32-framed
-/// frame:
+/// service"). Every message — Hello, requests, responses, pushes and error
+/// frames alike — travels as one length-prefixed, CRC32-framed frame:
 ///
-///   u32 magic ("VZRP") | u32 type | u64+bytes payload (length-prefixed) |
-///   u32 crc
+///   u32 magic | u32 type | u64 correlation | u64+bytes payload
+///   (length-prefixed) | u32 crc
 ///
-/// The CRC covers type, payload length and payload bytes, so a bit flip
-/// anywhere in a frame (including in the framing fields themselves) is
-/// detected. Payloads are encoded with `io::BinaryWriter` — the same
+/// The correlation id ties a response to its request, so one connection
+/// carries concurrent in-flight RPCs; a `kPushEvent` frame carries the
+/// correlation of the `kSubscribe` call that registered its standing query;
+/// correlation 0 marks a connection-fatal error frame (the server could not
+/// read a request, or shed the connection at its cap) that answers no
+/// particular request.
+///
+/// The CRC covers type, correlation, payload length and payload bytes, so a
+/// bit flip anywhere in a frame (including in the framing fields themselves)
+/// is detected. Payloads are encoded with `io::BinaryWriter` — the same
 /// little-endian primitives as the snapshot format — and decoded by
 /// overflow-safe `io::BinaryReader` accessors, so a corrupted length can
 /// never turn into a wild read or a giant allocation.
@@ -44,56 +51,14 @@ namespace vz::net {
 /// Neither case may crash, hang, or desync subsequent frames sharing the
 /// buffer: a successful decode always consumes exactly one frame.
 
-inline constexpr uint32_t kWireMagic = 0x565A5250;  // "VZRP"
+inline constexpr uint32_t kWireMagic = 0x565A5235;  // "VZR5"
 
-/// Magic of the v5 multiplexed frame layout (see below). A distinct magic
-/// keeps the two layouts unambiguous at the byte level: a buffer can never
-/// parse as both, so the fuzzer and any frame-level tooling need no
-/// out-of-band framing hint.
-inline constexpr uint32_t kWireMagicV5 = 0x565A5235;  // "VZR5"
-
-/// Protocol version, negotiated by the Hello exchange: the client announces
-/// its version, the server accepts only an exact match and always reports
-/// its own version in the HelloAck so mismatched clients can print a useful
-/// error.
-///
-/// v2: mutating request payloads start with an idempotency token
-/// (session id + sequence number), the Monitor reply carries the serving
-/// layer's connection registry, and `kPing` exists as a keepalive.
-///
-/// v3: `kWalShip` exists (warm standbys tail the primary's write-ahead log),
-/// and the Monitor reply's serving stats carry the durability counters
-/// (WAL appends/fsyncs/replays/salvage, checkpoint count, LSN frontiers,
-/// replication lag, server role).
-///
-/// v4: sharded deployment. `kRepSync` ships an edge's inter-camera
-/// representative entries to a coordinator, `kSvsFeatureMap` fetches one
-/// stored SVS's feature map (cross-shard clustering queries), and
-/// `kCheckpointFetch` ships the newest checkpoint pair (standby re-seed
-/// after compaction outran its cursor). `kWalShip` carries a promotion
-/// epoch in both directions — the fencing token that refuses a demoted
-/// primary — and the Monitor reply's serving stats carry a coordinator's
-/// per-shard health table.
-///
-/// v5: multiplexed framing and server push. After a v5 Hello (which still
-/// travels in the legacy layout, so negotiation itself is
-/// version-independent) both sides switch to the v5 frame layout:
-///
-///   u32 magic ("VZR5") | u32 type | u64 correlation | u64+bytes payload |
-///   u32 crc
-///
-/// The correlation id ties a response to its request, so one connection can
-/// carry concurrent in-flight RPCs; `kPushEvent` frames arrive
-/// asynchronously, tagged with the correlation id of the `kSubscribe` call
-/// that registered the standing query. New RPCs: `kSubscribe` /
-/// `kUnsubscribe` (standing queries with server-push match and stats
-/// delivery), `kIngestBatch` (N frames per RPC), and `kAdminTune` (live
-/// index-mode administration). A server accepts v4 *or* v5 Hellos and keeps
-/// the legacy one-frame-at-a-time layout for v4 peers.
-inline constexpr uint32_t kProtocolVersion = 5;
-
-/// The oldest client protocol version a v5 server still serves.
-inline constexpr uint32_t kMinProtocolVersion = 4;
+/// Protocol version, checked by the Hello exchange: the client announces its
+/// version, the server accepts only an exact match and always reports its
+/// own version in the Hello reply so a mismatched client can print a useful
+/// error. Every RPC below, the correlation-id framing (Hello included) and
+/// every `MonitorStatsReply` field belong to this one version.
+inline constexpr uint32_t kProtocolVersion = 6;
 
 /// Upper bound on a frame payload; a length field beyond this is rejected
 /// before any allocation (it is either corruption the CRC would also catch
@@ -121,45 +86,45 @@ enum class MsgType : uint32_t {
   /// server's idle clock without touching any state, so a client that is
   /// between requests can fend off idle eviction.
   kPing = 15,
-  /// Log shipping (v3): a standby asks for WAL records starting after a
+  /// Log shipping: a standby asks for WAL records starting after a
   /// given LSN. The `from` LSN doubles as a windowed ack — everything at or
   /// below it is durably applied on the standby, which lets a semi-sync
   /// primary release acks waiting on replication. Token-free: re-reading a
   /// log window is harmless.
   kWalShip = 16,
-  /// Representative sync (v4): a coordinator asks an edge for its
+  /// Representative sync: a coordinator asks an edge for its
   /// inter-camera representative entries. The request carries the index
   /// version of the last sync; an unchanged index answers with a small
   /// "unchanged" reply instead of re-shipping every entry. Token-free.
   kRepSync = 17,
-  /// Fetch one stored SVS's feature map by id (v4) — how a coordinator
+  /// Fetch one stored SVS's feature map by id — how a coordinator
   /// resolves the target of a by-id clustering query that lives on another
   /// shard. Token-free.
   kSvsFeatureMap = 18,
   /// Fetch the newest valid checkpoint pair (snapshot + manifest bytes) of
-  /// a WAL-backed server (v4) — the standby re-seed path once compaction
+  /// a WAL-backed server — the standby re-seed path once compaction
   /// has outrun its replication cursor. Token-free.
   kCheckpointFetch = 19,
-  /// Register a standing query (v5): the server pushes `kPushEvent` frames
+  /// Register a standing query: the server pushes `kPushEvent` frames
   /// — tagged with this request's correlation id — as ingestion finalizes
   /// matching segments. Token-free: subscription state is connection-scoped
   /// and dies with the connection, so a retry after reconnect re-registers
   /// rather than duplicating.
   kSubscribe = 20,
-  /// Cancel a standing query by subscription id (v5). Token-free (cancelling
+  /// Cancel a standing query by subscription id. Token-free (cancelling
   /// twice is harmless).
   kUnsubscribe = 21,
-  /// Batched ingest (v5): N frame observations in one RPC, acknowledged with
+  /// Batched ingest: N frame observations in one RPC, acknowledged with
   /// per-batch accept/reject counts. Mutating and tokened — the batch is the
   /// exactly-once unit, and it rides the WAL like `kIngestFrame`.
   kIngestBatch = 22,
-  /// Live administration (v5): apply the performance monitor's adjustment
+  /// Live administration: apply the performance monitor's adjustment
   /// ladder (OMD mode, boundary scale, keyframe toggles, clustering counts)
   /// over the wire. Mutating and tokened, but NOT WAL-logged: tuning knobs
   /// are operator state, not corpus state, and must not replay into a
   /// recovered server that the operator never retuned.
   kAdminTune = 23,
-  /// Asynchronous server→client push (v5 only): a match, stats update, or
+  /// Asynchronous server→client push: a match, stats update, or
   /// gap marker for one subscription. Never a request; never acknowledged.
   kPushEvent = 24,
 };
@@ -208,14 +173,19 @@ struct WireStatus {
 void EncodeWireStatus(io::BinaryWriter* writer, const WireStatus& status);
 StatusOr<WireStatus> DecodeWireStatus(io::BinaryReader* reader);
 
-/// One decoded frame.
+/// One decoded frame. For responses the correlation id echoes the
+/// request's; for `kPushEvent` it names the subscription's originating
+/// `kSubscribe` call; 0 marks a connection-fatal error frame.
 struct WireFrame {
   uint32_t type = 0;
+  uint64_t correlation = 0;
   std::string payload;
 };
 
-/// Encodes one frame (header, length-prefixed payload, CRC).
-std::string EncodeFrame(uint32_t type, const std::string& payload);
+/// Encodes one frame (magic, type, correlation, length-prefixed payload,
+/// CRC over everything after the magic).
+std::string EncodeFrame(uint32_t type, uint64_t correlation,
+                        const std::string& payload);
 
 /// Decodes exactly one frame from `reader` (which may hold a whole stream of
 /// concatenated frames). See the failure taxonomy above.
@@ -228,54 +198,22 @@ StatusOr<WireFrame> DecodeFrame(io::BinaryReader* reader);
 /// the supervision signal for slow, stalled or blackholed peers. A trickled
 /// header counts against the same budget as the payload, so a slow-loris
 /// sender cannot hold a connection open indefinitely.
-Status WriteFrame(int fd, uint32_t type, const std::string& payload,
-                  int64_t timeout_ms = -1);
+Status WriteFrame(int fd, uint32_t type, uint64_t correlation,
+                  const std::string& payload, int64_t timeout_ms = -1);
 StatusOr<WireFrame> ReadFrame(int fd, int64_t timeout_ms = -1);
 
-/// Bytes `EncodeFrame` produces for a payload of `payload_bytes`: magic,
-/// type, length prefix, payload, CRC. Used by the serving layer's
-/// per-connection byte accounting.
-inline constexpr uint64_t WireFrameBytes(uint64_t payload_bytes) {
-  return sizeof(uint32_t) * 2 + sizeof(uint64_t) + payload_bytes +
-         sizeof(uint32_t);
-}
-
-// --- v5 multiplexed framing. ---
-
-/// One decoded v5 frame: type, correlation id, payload. For responses the
-/// correlation id echoes the request's; for `kPushEvent` it names the
-/// subscription's originating `kSubscribe` call.
-struct WireFrameV5 {
-  uint32_t type = 0;
-  uint64_t correlation = 0;
-  std::string payload;
-};
-
-/// Encodes one v5 frame (magic "VZR5", type, correlation, length-prefixed
-/// payload, CRC over everything after the magic).
-std::string EncodeFrameV5(uint32_t type, uint64_t correlation,
-                          const std::string& payload);
-
-/// Decodes exactly one v5 frame from `reader`. Same failure taxonomy as
-/// `DecodeFrame`; a legacy "VZRP" magic is `kInvalidArgument` (whole but
-/// alien), not data loss.
-StatusOr<WireFrameV5> DecodeFrameV5(io::BinaryReader* reader);
-
-/// Socket-level v5 frame I/O, with the same deadline and error semantics as
-/// `WriteFrame`/`ReadFrame`.
-Status WriteFrameV5(int fd, uint32_t type, uint64_t correlation,
-                    const std::string& payload, int64_t timeout_ms = -1);
-StatusOr<WireFrameV5> ReadFrameV5(int fd, int64_t timeout_ms = -1);
-
-/// Gathered write of pre-encoded frames (v4 or v5 — the bytes already carry
-/// their layout): one sendmsg-backed burst instead of one syscall per frame.
-/// The push-delivery path drains a subscriber's queue through this.
+/// Gathered write of pre-encoded frames: one sendmsg-backed burst instead of
+/// one syscall per frame. The push-delivery path drains a subscriber's queue
+/// through this.
 Status WriteEncodedFrames(int fd, const std::vector<std::string>& frames,
                           int64_t timeout_ms = -1);
 
-/// Bytes `EncodeFrameV5` produces for a payload of `payload_bytes`.
-inline constexpr uint64_t WireFrameBytesV5(uint64_t payload_bytes) {
-  return WireFrameBytes(payload_bytes) + sizeof(uint64_t);
+/// Bytes `EncodeFrame` produces for a payload of `payload_bytes`: magic,
+/// type, correlation, length prefix, payload, CRC. Used by the serving
+/// layer's per-connection byte accounting.
+inline constexpr uint64_t WireFrameBytes(uint64_t payload_bytes) {
+  return sizeof(uint32_t) * 2 + sizeof(uint64_t) * 2 + payload_bytes +
+         sizeof(uint32_t);
 }
 
 // --- Payload codecs. Every request/response body used by the RPCs. ---
@@ -329,7 +267,7 @@ struct ConnectionInfo {
   uint64_t rpcs = 0;
 };
 
-/// Shard health ladder (v4), as maintained by a coordinator's EdgeRegistry
+/// Shard health ladder, as maintained by a coordinator's EdgeRegistry
 /// and surfaced through its Monitor reply. Values are wire-stable.
 enum class ShardState : uint32_t {
   /// Answering RPCs, representatives fresh: full fan-out member.
@@ -357,7 +295,7 @@ struct ShardHealthInfo {
   uint64_t cameras = 0;
 };
 
-/// The serving role a server reports in its Monitor reply (v3).
+/// The serving role a server reports in its Monitor reply.
 enum class ServerRole : uint32_t {
   /// Accepting client traffic; the authority for its WAL.
   kPrimary = 0,
@@ -367,10 +305,11 @@ enum class ServerRole : uint32_t {
   kPromoted = 2,
 };
 
-/// Serving-layer counters carried in the Monitor reply (v2): connection
+/// Serving-layer counters carried in the Monitor reply: connection
 /// lifecycle totals, supervision evictions, exactly-once replays, and the
-/// per-connection registry snapshot. v3 appends the durability counters;
-/// they are all zero when the server runs without a WAL.
+/// per-connection registry snapshot, then the durability counters (all
+/// zero when the server runs without a WAL), the subscription counters and
+/// disk health.
 struct ServingStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_shed = 0;
@@ -380,7 +319,7 @@ struct ServingStats {
   uint64_t pings_served = 0;
   uint64_t sessions_active = 0;
   uint64_t sessions_evicted = 0;
-  // v3 durability counters.
+  // Durability counters.
   ServerRole role = ServerRole::kPrimary;
   uint64_t wal_appends = 0;
   uint64_t wal_fsyncs = 0;
@@ -394,14 +333,13 @@ struct ServingStats {
   uint64_t wal_durable_lsn = 0;
   /// Standby only: durable primary records not yet applied locally.
   uint64_t replication_lag_records = 0;
-  /// Standby only (v4): automatic checkpoint re-seeds after compaction
+  /// Standby only: automatic checkpoint re-seeds after compaction
   /// outran the replication cursor.
   uint64_t replication_reseeds = 0;
   std::vector<ConnectionInfo> connections;
-  /// Coordinator only (v4): the per-shard health table (empty on edges).
+  /// Coordinator only: the per-shard health table (empty on edges).
   std::vector<ShardHealthInfo> shards;
-  // v5 subscription counters (appended at the end of the encoding so v4
-  // decoders that stop after `shards` still parse the prefix).
+  // Subscription counters.
   uint64_t subscriptions_active = 0;
   uint64_t subscriptions_total = 0;
   /// Push frames written to subscribers.
@@ -412,8 +350,7 @@ struct ServingStats {
   uint64_t push_gaps_sent = 0;
   /// kIngestBatch requests served.
   uint64_t ingest_batches = 0;
-  // Disk-health fields (appended after the v5 counters; old decoders stop
-  // before them, old encoders leave them zero/false).
+  // Disk health.
   /// Failed writes on the durability path (WAL appends, checkpoint and
   /// snapshot saves). ENOSPC and EIO both land here.
   uint64_t disk_io_errors = 0;
@@ -457,7 +394,7 @@ void EncodeCameraHealthReport(io::BinaryWriter* writer,
 StatusOr<std::vector<CameraHealthEntry>> DecodeCameraHealthReport(
     io::BinaryReader* reader);
 
-/// Body of the WalShip RPC (v3). The request is `from_lsn` (records strictly
+/// Body of the WalShip RPC. The request is `from_lsn` (records strictly
 /// after it are returned, and everything at or below it is acknowledged as
 /// durably applied by the caller), `max_records`, and `wait_ms` — a long-poll
 /// budget: when no records are available past `from_lsn` the server may hold
@@ -466,7 +403,7 @@ struct WalShipRequest {
   uint64_t from_lsn = 0;
   uint32_t max_records = 0;
   uint32_t wait_ms = 0;
-  /// The caller's promotion epoch (v4). A primary refuses requests from a
+  /// The caller's promotion epoch. A primary refuses requests from a
   /// caller with a *newer* epoch (`kFailedPrecondition`): it has been
   /// demoted by a failover it never saw, and acking the request would
   /// double-apply history the new primary already owns. 0 = unknown (a
@@ -482,7 +419,7 @@ StatusOr<WalShipRequest> DecodeWalShipRequest(io::BinaryReader* reader);
 /// report zero lag) plus the shipped records in LSN order.
 struct WalShipReply {
   uint64_t durable_lsn = 0;
-  /// The server's promotion epoch (v4); a standby adopts the max of its own
+  /// The server's promotion epoch; a standby adopts the max of its own
   /// and every reply's, so fencing survives standby restarts.
   uint64_t epoch = 0;
   std::vector<io::WalRecord> records;
@@ -491,7 +428,7 @@ struct WalShipReply {
 void EncodeWalShipReply(io::BinaryWriter* writer, const WalShipReply& reply);
 StatusOr<WalShipReply> DecodeWalShipReply(io::BinaryReader* reader);
 
-// --- Sharded deployment (v4). See DESIGN.md, "Sharded deployment". ---
+// --- Sharded deployment. See DESIGN.md, "Sharded deployment". ---
 
 void EncodeWeightedCenter(io::BinaryWriter* writer,
                           const core::WeightedCenter& center);
@@ -506,7 +443,7 @@ void EncodeRepEntry(io::BinaryWriter* writer,
 StatusOr<core::InterCameraIndex::RepEntry> DecodeRepEntry(
     io::BinaryReader* reader);
 
-/// Body of the RepSync RPC (v4). `since_version` is the edge's
+/// Body of the RepSync RPC. `since_version` is the edge's
 /// `index_version()` at the caller's last successful sync (0 = never
 /// synced: always ship).
 struct RepSyncRequest {
@@ -529,7 +466,7 @@ struct RepSyncReply {
 void EncodeRepSyncReply(io::BinaryWriter* writer, const RepSyncReply& reply);
 StatusOr<RepSyncReply> DecodeRepSyncReply(io::BinaryReader* reader);
 
-/// Body of the CheckpointFetch RPC (v4): the newest valid checkpoint pair,
+/// Body of the CheckpointFetch RPC: the newest valid checkpoint pair,
 /// shipped as raw file bytes (the caller writes them into its own WAL
 /// directory and restores through the normal recovery path).
 struct CheckpointFetchReply {
@@ -544,7 +481,7 @@ void EncodeCheckpointFetchReply(io::BinaryWriter* writer,
 StatusOr<CheckpointFetchReply> DecodeCheckpointFetchReply(
     io::BinaryReader* reader);
 
-// --- Standing queries and server push (v5). See DESIGN.md, "Standing
+// --- Standing queries and server push. See DESIGN.md, "Standing
 // queries and multiplexing". ---
 
 /// Body of the Subscribe RPC: the standing query. A subscriber may ask for

@@ -253,7 +253,7 @@ TEST(NetChaosTest, FaultFreeProxyIsFullyTransparent) {
   server.Shutdown();
 }
 
-// --- Protocol-v5 multiplexed framing under chaos. ---
+// --- Multiplexed framing under chaos. ---
 
 // The batched-ingest drill: the same chaos mix, but frames travel in
 // kIngestBatch RPCs. A retried batch after a reconnect must be answered

@@ -26,7 +26,7 @@ bool IsFuzzStatus(const Status& status) {
 }
 
 // A representative request frame with a structured payload.
-std::string SampleFrame() {
+std::string SampleFrame(uint64_t correlation = 5) {
   io::BinaryWriter payload;
   EncodeFeatureVector(&payload, FeatureVector({1.5f, -2.0f, 3.25f, 0.0f}));
   core::QueryConstraints constraints;
@@ -34,30 +34,62 @@ std::string SampleFrame() {
   constraints.cameras = std::vector<core::CameraId>{"cam-a", "cam-b"};
   EncodeQueryConstraints(&payload, constraints);
   return EncodeFrame(static_cast<uint32_t>(MsgType::kDirectQuery),
+                     correlation, payload.buffer());
+}
+
+// A push frame, tagged with its subscription's `kSubscribe` correlation.
+std::string SamplePushFrame(uint64_t correlation) {
+  PushEvent event;
+  event.subscription_id = 3;
+  event.sequence = 12;
+  event.kind = PushKind::kMatch;
+  event.svs_id = 99;
+  event.camera = "cam-harbor";
+  event.start_ms = 10'000;
+  event.end_ms = 30'000;
+  event.distance = 1.25;
+  io::BinaryWriter payload;
+  EncodePushEvent(&payload, event);
+  return EncodeFrame(static_cast<uint32_t>(MsgType::kPushEvent), correlation,
                      payload.buffer());
 }
 
-TEST(FrameFuzzTest, IntactFrameRoundTrips) {
+TEST(FrameFuzzTest, IntactFrameRoundTripsWithCorrelation) {
   const std::string bytes = SampleFrame();
   io::BinaryReader reader(bytes);
   auto frame = DecodeFrame(&reader);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame->type, static_cast<uint32_t>(MsgType::kDirectQuery));
+  EXPECT_EQ(frame->correlation, 5u);
   EXPECT_EQ(reader.remaining(), 0u);  // exactly one frame consumed
+
+  io::BinaryWriter payload;
+  EncodeSubscribeRequest(&payload, {});
+  const std::string subscribe = EncodeFrame(
+      static_cast<uint32_t>(MsgType::kSubscribe), 0x1122334455667788ULL,
+      payload.buffer());
+  EXPECT_EQ(subscribe.size(), WireFrameBytes(payload.buffer().size()));
+  io::BinaryReader subscribe_reader(subscribe);
+  auto decoded = DecodeFrame(&subscribe_reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->type, static_cast<uint32_t>(MsgType::kSubscribe));
+  EXPECT_EQ(decoded->correlation, 0x1122334455667788ULL);
+  EXPECT_EQ(subscribe_reader.remaining(), 0u);
 }
 
 // Truncation at every prefix length: always a clean kDataLoss (the bytes are
 // torn), never a crash or a success.
 TEST(FrameFuzzTest, EveryTruncationIsDataLoss) {
-  const std::string bytes = SampleFrame();
-  for (size_t keep = 0; keep < bytes.size(); ++keep) {
-    std::string torn = bytes;
-    ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
-    io::BinaryReader reader(torn);
-    auto frame = DecodeFrame(&reader);
-    ASSERT_FALSE(frame.ok()) << "prefix of " << keep << " bytes decoded";
-    EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss)
-        << "prefix " << keep << ": " << frame.status().ToString();
+  for (const std::string& bytes : {SampleFrame(), SamplePushFrame(42)}) {
+    for (size_t keep = 0; keep < bytes.size(); ++keep) {
+      std::string torn = bytes;
+      ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
+      io::BinaryReader reader(torn);
+      auto frame = DecodeFrame(&reader);
+      ASSERT_FALSE(frame.ok()) << "prefix of " << keep << " bytes decoded";
+      EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss)
+          << "prefix " << keep << ": " << frame.status().ToString();
+    }
   }
 }
 
@@ -66,17 +98,18 @@ TEST(FrameFuzzTest, EveryTruncationIsDataLoss) {
 // guaranteed detection distance, so a quiet success would be a codec bug,
 // not fuzzer bad luck.
 TEST(FrameFuzzTest, BitFlipsNeverDecodeQuietly) {
-  const std::string bytes = SampleFrame();
-  for (uint64_t seed = 0; seed < 300; ++seed) {
-    for (size_t flips = 1; flips <= 3; ++flips) {
-      std::string corrupt = bytes;
-      ASSERT_TRUE(FaultInjector::FlipBits(&corrupt, flips, seed).ok());
-      io::BinaryReader reader(corrupt);
-      auto frame = DecodeFrame(&reader);
-      ASSERT_FALSE(frame.ok())
-          << "seed " << seed << ", " << flips << " flips decoded quietly";
-      EXPECT_TRUE(IsFuzzStatus(frame.status()))
-          << frame.status().ToString();
+  for (const std::string& bytes : {SampleFrame(), SamplePushFrame(7)}) {
+    for (uint64_t seed = 0; seed < 300; ++seed) {
+      for (size_t flips = 1; flips <= 3; ++flips) {
+        std::string corrupt = bytes;
+        ASSERT_TRUE(FaultInjector::FlipBits(&corrupt, flips, seed).ok());
+        io::BinaryReader reader(corrupt);
+        auto frame = DecodeFrame(&reader);
+        ASSERT_FALSE(frame.ok())
+            << "seed " << seed << ", " << flips << " flips decoded quietly";
+        EXPECT_TRUE(IsFuzzStatus(frame.status()))
+            << frame.status().ToString();
+      }
     }
   }
 }
@@ -109,6 +142,7 @@ TEST(FrameFuzzTest, HostileLengthRejectedWithoutAllocation) {
   io::BinaryWriter writer;
   writer.WriteU32(kWireMagic);
   writer.WriteU32(static_cast<uint32_t>(MsgType::kFlush));
+  writer.WriteU64(1);  // correlation
   writer.WriteU64(kMaxPayloadBytes + 1);
   writer.WriteU32(0xDEADBEEF);  // placeholder crc; length check comes first
   io::BinaryReader reader(writer.buffer());
@@ -126,8 +160,20 @@ TEST(FrameFuzzTest, BadMagicAndUnknownTypeAreInvalidArgument) {
               StatusCode::kInvalidArgument);
   }
   {
+    // A header in some other layout (here the retired "VZRP" magic) is
+    // whole-but-alien, never data loss.
+    io::BinaryWriter writer;
+    writer.WriteU32(0x565A5250);
+    writer.WriteU32(static_cast<uint32_t>(MsgType::kPing));
+    writer.WriteU64(0);
+    writer.WriteU32(0);
+    io::BinaryReader reader(writer.buffer());
+    EXPECT_EQ(DecodeFrame(&reader).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
     // Unknown-but-whole frame: correctly framed, CRC valid, alien type.
-    const std::string bytes = EncodeFrame(4242, "payload");
+    const std::string bytes = EncodeFrame(4242, 1, "payload");
     io::BinaryReader reader(bytes);
     EXPECT_EQ(DecodeFrame(&reader).status().code(),
               StatusCode::kInvalidArgument);
@@ -168,7 +214,6 @@ TEST(FrameFuzzTest, RandomPayloadsAgainstEveryCodec) {
         [](io::BinaryReader* r) { return DecodeCameraHealthReport(r); });
     with_reader(
         [](io::BinaryReader* r) { return DecodeIdempotencyToken(r); });
-    // v5 payload codecs.
     with_reader(
         [](io::BinaryReader* r) { return DecodeSubscribeRequest(r); });
     with_reader([](io::BinaryReader* r) { return DecodePushEvent(r); });
@@ -181,7 +226,7 @@ TEST(FrameFuzzTest, RandomPayloadsAgainstEveryCodec) {
   }
 }
 
-// --- Protocol-v2 wire fields: tokens, ping, supervision stats. ---
+// --- Wire fields: tokens, ping, supervision stats. ---
 
 TEST(FrameFuzzTest, IdempotencyTokenRoundTripsAndRejectsReservedSession) {
   io::BinaryWriter writer;
@@ -215,13 +260,13 @@ TEST(FrameFuzzTest, TruncatedTokenIsAlwaysAnError) {
   }
 }
 
-// kPing is a known frame type introduced in v2: an empty-payload ping frame
+// kPing is a known frame type: an empty-payload ping frame
 // must pass the framing layer's known-type check, and a mutating frame's
 // token prefix survives the same truncation/flip treatment as everything
 // else.
 TEST(FrameFuzzTest, PingAndTokenedFramesSurviveTheFuzzSweep) {
   const std::string ping =
-      EncodeFrame(static_cast<uint32_t>(MsgType::kPing), "");
+      EncodeFrame(static_cast<uint32_t>(MsgType::kPing), 3, "");
   {
     io::BinaryReader reader(ping);
     auto frame = DecodeFrame(&reader);
@@ -235,8 +280,8 @@ TEST(FrameFuzzTest, PingAndTokenedFramesSurviveTheFuzzSweep) {
   ASSERT_FALSE(IsMutatingType(static_cast<uint32_t>(MsgType::kPing)));
   io::BinaryWriter tokened;
   EncodeIdempotencyToken(&tokened, {77, 8});
-  const std::string frame_bytes =
-      EncodeFrame(static_cast<uint32_t>(MsgType::kFlush), tokened.buffer());
+  const std::string frame_bytes = EncodeFrame(
+      static_cast<uint32_t>(MsgType::kFlush), 4, tokened.buffer());
   for (size_t keep = 0; keep < frame_bytes.size(); ++keep) {
     std::string torn = frame_bytes;
     ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
@@ -254,9 +299,10 @@ TEST(FrameFuzzTest, PingAndTokenedFramesSurviveTheFuzzSweep) {
   }
 }
 
-// The v2 MonitorStats payload (serving counters + connection registry)
-// round-trips exactly and fails cleanly under truncation.
-TEST(FrameFuzzTest, MonitorStatsV2RoundTripsAndFailsCleanlyWhenTorn) {
+// The MonitorStats payload (serving counters, connection registry,
+// subscription and disk-health counters) round-trips exactly, and every
+// strict prefix of it fails to decode.
+TEST(FrameFuzzTest, MonitorStatsRoundTripsAndEveryStrictPrefixFails) {
   MonitorStatsReply stats;
   stats.ingest.frames_offered = 123;
   stats.svs_count = 9;
@@ -317,39 +363,12 @@ TEST(FrameFuzzTest, MonitorStatsV2RoundTripsAndFailsCleanlyWhenTorn) {
   EXPECT_TRUE(decoded->serving.disk_full);
   EXPECT_TRUE(decoded->serving.read_only);
 
-  // The v5 subscription counters and the disk-health block are each a
-  // prefix-compatible tail: cutting the payload exactly at the v4 boundary
-  // is a valid v4 payload (both tails decode as zero), cutting exactly at
-  // the pre-disk-health boundary is a valid older-v5 payload (disk fields
-  // decode as zero); every other truncation is an error.
   const std::string bytes = writer.buffer();
-  const size_t disk_tail_bytes = 3 * sizeof(uint64_t) + 2;
-  const size_t v5_tail_bytes = 6 * sizeof(uint64_t) + disk_tail_bytes;
-  ASSERT_GT(bytes.size(), v5_tail_bytes);
-  const size_t v4_boundary = bytes.size() - v5_tail_bytes;
-  const size_t disk_boundary = bytes.size() - disk_tail_bytes;
   for (size_t keep = 0; keep < bytes.size(); ++keep) {
     std::string torn = bytes;
     ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
     io::BinaryReader torn_reader(torn);
-    auto torn_stats = DecodeMonitorStats(&torn_reader);
-    if (keep == v4_boundary) {
-      ASSERT_TRUE(torn_stats.ok()) << keep;
-      EXPECT_EQ(torn_stats->serving.pings_served, 5u);
-      EXPECT_EQ(torn_stats->serving.subscriptions_active, 0u);
-      EXPECT_EQ(torn_stats->serving.ingest_batches, 0u);
-      EXPECT_EQ(torn_stats->serving.disk_io_errors, 0u);
-      EXPECT_FALSE(torn_stats->serving.read_only);
-    } else if (keep == disk_boundary) {
-      ASSERT_TRUE(torn_stats.ok()) << keep;
-      EXPECT_EQ(torn_stats->serving.subscriptions_active, 3u);
-      EXPECT_EQ(torn_stats->serving.ingest_batches, 13u);
-      EXPECT_EQ(torn_stats->serving.disk_io_errors, 0u);
-      EXPECT_FALSE(torn_stats->serving.disk_full);
-      EXPECT_FALSE(torn_stats->serving.read_only);
-    } else {
-      EXPECT_FALSE(torn_stats.ok()) << keep;
-    }
+    EXPECT_FALSE(DecodeMonitorStats(&torn_reader).ok()) << keep;
   }
 }
 
@@ -368,120 +387,33 @@ TEST(FrameFuzzTest, StreamStaysFramedUpToTheCorruption) {
   EXPECT_TRUE(IsFuzzStatus(corrupt.status()));
 }
 
-// --- Protocol-v5 framing: correlation-id multiplexing and push frames. ---
-
-std::string SamplePushFrame(uint64_t correlation) {
-  PushEvent event;
-  event.subscription_id = 3;
-  event.sequence = 12;
-  event.kind = PushKind::kMatch;
-  event.svs_id = 99;
-  event.camera = "cam-harbor";
-  event.start_ms = 10'000;
-  event.end_ms = 30'000;
-  event.distance = 1.25;
-  io::BinaryWriter payload;
-  EncodePushEvent(&payload, event);
-  return EncodeFrameV5(static_cast<uint32_t>(MsgType::kPushEvent),
-                       correlation, payload.buffer());
-}
-
-TEST(FrameFuzzV5Test, IntactFrameRoundTripsWithCorrelation) {
-  io::BinaryWriter payload;
-  EncodeSubscribeRequest(&payload, {});
-  const std::string bytes = EncodeFrameV5(
-      static_cast<uint32_t>(MsgType::kSubscribe), 0x1122334455667788ULL,
-      payload.buffer());
-  EXPECT_EQ(bytes.size(), WireFrameBytesV5(payload.buffer().size()));
-  io::BinaryReader reader(bytes);
-  auto frame = DecodeFrameV5(&reader);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->type, static_cast<uint32_t>(MsgType::kSubscribe));
-  EXPECT_EQ(frame->correlation, 0x1122334455667788ULL);
-  EXPECT_EQ(reader.remaining(), 0u);
-}
-
-TEST(FrameFuzzV5Test, EveryTruncationIsDataLoss) {
-  const std::string bytes = SamplePushFrame(42);
-  for (size_t keep = 0; keep < bytes.size(); ++keep) {
-    std::string torn = bytes;
-    ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
-    io::BinaryReader reader(torn);
-    auto frame = DecodeFrameV5(&reader);
-    ASSERT_FALSE(frame.ok()) << "prefix of " << keep << " bytes decoded";
-    EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss)
-        << "prefix " << keep << ": " << frame.status().ToString();
-  }
-}
-
-TEST(FrameFuzzV5Test, BitFlipsNeverDecodeQuietly) {
-  const std::string bytes = SamplePushFrame(7);
-  for (uint64_t seed = 0; seed < 300; ++seed) {
-    for (size_t flips = 1; flips <= 3; ++flips) {
-      std::string corrupt = bytes;
-      ASSERT_TRUE(FaultInjector::FlipBits(&corrupt, flips, seed).ok());
-      io::BinaryReader reader(corrupt);
-      auto frame = DecodeFrameV5(&reader);
-      ASSERT_FALSE(frame.ok())
-          << "seed " << seed << ", " << flips << " flips decoded quietly";
-      EXPECT_TRUE(IsFuzzStatus(frame.status())) << frame.status().ToString();
-    }
-  }
-}
-
-TEST(FrameFuzzV5Test, HostileLengthAndBadMagicAreRejected) {
-  {
-    io::BinaryWriter writer;
-    writer.WriteU32(kWireMagicV5);
-    writer.WriteU32(static_cast<uint32_t>(MsgType::kPushEvent));
-    writer.WriteU64(1);  // correlation
-    writer.WriteU64(kMaxPayloadBytes + 1);
-    writer.WriteU32(0xDEADBEEF);
-    io::BinaryReader reader(writer.buffer());
-    EXPECT_EQ(DecodeFrameV5(&reader).status().code(),
-              StatusCode::kInvalidArgument);
-  }
-  // The two framings never decode each other's bytes as a whole frame —
-  // the magics are the negotiation boundary's enforcement.
-  {
-    const std::string legacy = SampleFrame();
-    io::BinaryReader reader(legacy);
-    EXPECT_EQ(DecodeFrameV5(&reader).status().code(),
-              StatusCode::kInvalidArgument);
-  }
-  {
-    const std::string v5 = SamplePushFrame(1);
-    io::BinaryReader reader(v5);
-    EXPECT_EQ(DecodeFrame(&reader).status().code(),
-              StatusCode::kInvalidArgument);
-  }
-}
+// --- Correlation-id multiplexing and push frames. ---
 
 // A multiplexed stream: a response frame, an asynchronous push with an
 // unrelated correlation id, another response. Each decode consumes exactly
 // one frame and carries its own correlation — the demux loop's ground truth.
-TEST(FrameFuzzV5Test, InterleavedPushFramesStayFramed) {
+TEST(FrameFuzzTest, InterleavedPushFramesStayFramed) {
   io::BinaryWriter status_payload;
   EncodeWireStatus(&status_payload, {Status::OK(), 0});
   const uint32_t response_type =
       static_cast<uint32_t>(MsgType::kPing) | kResponseFlag;
   const std::string first =
-      EncodeFrameV5(response_type, 5, status_payload.buffer());
+      EncodeFrame(response_type, 5, status_payload.buffer());
   const std::string push = SamplePushFrame(0xFEEDFACE);  // unknown to nobody
   const std::string second =
-      EncodeFrameV5(response_type, 6, status_payload.buffer());
+      EncodeFrame(response_type, 6, status_payload.buffer());
   const std::string stream = first + push + second;
 
   io::BinaryReader reader(stream);
-  auto a = DecodeFrameV5(&reader);
+  auto a = DecodeFrame(&reader);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a->correlation, 5u);
   EXPECT_EQ(reader.position(), first.size());
-  auto b = DecodeFrameV5(&reader);
+  auto b = DecodeFrame(&reader);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b->type, static_cast<uint32_t>(MsgType::kPushEvent));
   EXPECT_EQ(b->correlation, 0xFEEDFACEu);
-  auto c = DecodeFrameV5(&reader);
+  auto c = DecodeFrame(&reader);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->correlation, 6u);
   EXPECT_EQ(reader.remaining(), 0u);
@@ -490,8 +422,8 @@ TEST(FrameFuzzV5Test, InterleavedPushFramesStayFramed) {
   std::string corrupt_push = push;
   ASSERT_TRUE(FaultInjector::FlipBits(&corrupt_push, 2, 3).ok());
   io::BinaryReader torn_reader(first + corrupt_push + second);
-  ASSERT_TRUE(DecodeFrameV5(&torn_reader).ok());
-  auto torn = DecodeFrameV5(&torn_reader);
+  ASSERT_TRUE(DecodeFrame(&torn_reader).ok());
+  auto torn = DecodeFrame(&torn_reader);
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(IsFuzzStatus(torn.status()));
 }
@@ -499,7 +431,7 @@ TEST(FrameFuzzV5Test, InterleavedPushFramesStayFramed) {
 // A well-framed push frame (CRC valid) whose payload is a torn PushEvent
 // encoding: the framing layer accepts it, the payload codec must fail with
 // a status — the demux loop then drops the push and keeps the stream.
-TEST(FrameFuzzV5Test, TornPushPayloadFailsCleanlyInsideAValidFrame) {
+TEST(FrameFuzzTest, TornPushPayloadFailsCleanlyInsideAValidFrame) {
   PushEvent event;
   event.subscription_id = 1;
   event.kind = PushKind::kGap;
@@ -510,10 +442,10 @@ TEST(FrameFuzzV5Test, TornPushPayloadFailsCleanlyInsideAValidFrame) {
   for (size_t keep = 0; keep < intact.size(); ++keep) {
     std::string torn = intact;
     ASSERT_TRUE(FaultInjector::Truncate(&torn, keep).ok());
-    const std::string framed = EncodeFrameV5(
+    const std::string framed = EncodeFrame(
         static_cast<uint32_t>(MsgType::kPushEvent), 9, torn);
     io::BinaryReader reader(framed);
-    auto frame = DecodeFrameV5(&reader);
+    auto frame = DecodeFrame(&reader);
     ASSERT_TRUE(frame.ok()) << "framing must accept a valid CRC";
     io::BinaryReader payload_reader(frame->payload);
     EXPECT_FALSE(DecodePushEvent(&payload_reader).ok()) << keep;
@@ -522,7 +454,7 @@ TEST(FrameFuzzV5Test, TornPushPayloadFailsCleanlyInsideAValidFrame) {
 
 // The codec encodes only the fields of the announced kind — a push frame
 // carries no dead weight from the other variants.
-TEST(FrameFuzzV5Test, PushEventRoundTripsEveryKind) {
+TEST(FrameFuzzTest, PushEventRoundTripsEveryKind) {
   for (PushKind kind :
        {PushKind::kMatch, PushKind::kIndexUpdate, PushKind::kGap}) {
     PushEvent event;
@@ -572,7 +504,7 @@ TEST(FrameFuzzV5Test, PushEventRoundTripsEveryKind) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(FrameFuzzV5Test, SubscribeAndAdminTunePayloadsRoundTrip) {
+TEST(FrameFuzzTest, SubscribeAndAdminTunePayloadsRoundTrip) {
   SubscribeRequest request;
   request.query = FeatureVector({0.5f, 1.5f});
   request.threshold = 2.75;

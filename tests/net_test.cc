@@ -3,8 +3,10 @@
 // ingest-then-query round trip must be bit-identical to the same operations
 // in process — plus the serving-specific behaviours: concurrent clients,
 // deadline expiry over the wire, connection- and admission-level shedding
-// with client backoff, protocol-version negotiation, and graceful-shutdown
-// draining of in-flight requests.
+// with client backoff, the protocol-version check, and graceful-shutdown
+// draining of in-flight requests. The protocol edges (Hello gate, malformed
+// payloads, connection-cap shed) run against both serving front ends — an
+// edge Server and a Coordinator — since they share one endpoint.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -19,6 +21,7 @@
 #include "common/socket.h"
 #include "core/videozilla.h"
 #include "net/client.h"
+#include "net/coordinator.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "sim/dataset.h"
@@ -85,6 +88,43 @@ void IngestOverWire(Rig* rig, Client* client) {
     ASSERT_TRUE(client->IngestFrame(observation).ok());
   }
   ASSERT_TRUE(client->Flush().ok());
+}
+
+// --- Raw-socket helpers: the client side of the protocol, by hand. ---
+
+constexpr uint64_t kRawCorrelation = 7;
+
+// Sends one frame with the fixed raw correlation and reads the next frame.
+StatusOr<WireFrame> RawCall(int fd, MsgType type, const std::string& payload) {
+  VZ_RETURN_IF_ERROR(WriteFrame(fd, static_cast<uint32_t>(type),
+                                kRawCorrelation, payload));
+  return ReadFrame(fd);
+}
+
+Status RawStatusOf(const WireFrame& frame) {
+  io::BinaryReader reader(frame.payload);
+  auto status = DecodeWireStatus(&reader);
+  if (!status.ok()) return status.status();
+  return status->status;
+}
+
+// Performs the client side of the Hello exchange on a raw socket.
+void RawHello(int fd) {
+  io::BinaryWriter hello;
+  hello.WriteU32(kProtocolVersion);
+  auto ack = RawCall(fd, MsgType::kHello, hello.buffer());
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->correlation, kRawCorrelation);
+  ASSERT_TRUE(RawStatusOf(*ack).ok());
+}
+
+// Sends one tokened request and returns the response frame.
+StatusOr<WireFrame> RawTokenedCall(int fd, MsgType type, uint64_t session,
+                                   uint64_t sequence,
+                                   const std::string& body = "") {
+  io::BinaryWriter payload;
+  EncodeIdempotencyToken(&payload, {session, sequence});
+  return RawCall(fd, type, payload.buffer() + body);
 }
 
 // A verifier that blocks its first Verify call until released; later calls
@@ -281,6 +321,54 @@ TEST(NetTest, ConcurrentClientsGetConsistentAnswers) {
   server.Shutdown();
 }
 
+// Clustering queries run under the server's shared state lock, so two of
+// them execute inside the index at the same time. The nearest-representative
+// search must not share scratch state between them: each answer must match
+// the serial one, and neither the heap nor TSan may notice the other query.
+TEST(NetTest, ConcurrentClusteringQueriesAgreeWithSerialAnswers) {
+  Rig rig;
+  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
+  ASSERT_GT(rig.system->inter_index().size(), 0u);
+  const std::vector<core::SvsId> ids = rig.system->svs_store().AllIds();
+  ASSERT_FALSE(ids.empty());
+  std::vector<std::vector<core::SvsId>> expected;
+  for (core::SvsId id : ids) {
+    auto result = rig.system->ClusteringQuery(id);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    expected.push_back(result->similar_svss);
+  }
+  ServerOptions server_options;
+  server_options.idle_poll_ms = 5;
+  Server server(rig.system.get(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 2;
+  constexpr int kRounds = 40;
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kClients, 0);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = Client::Connect("127.0.0.1", server.port());
+      if (!client.ok()) {
+        mismatches[c] = -1;
+        return;
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < ids.size(); ++i) {
+          auto result = client->ClusteringQuery(ids[i]);
+          if (!result.ok() || result->similar_svss != expected[i]) {
+            ++mismatches[c];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kClients, 0));
+  EXPECT_EQ(rig.system->query_load_stats().omd_failures, 0u);
+  server.Shutdown();
+}
+
 TEST(NetTest, ExpiredDeadlineYieldsTimedOutPartialOverWire) {
   Rig rig;
   ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
@@ -387,50 +475,6 @@ TEST(NetTest, AdmissionShedTravelsAsResourceExhaustedWithRetryAfter) {
   server.Shutdown();
 }
 
-TEST(NetTest, ConnectionShedIsRetryableAndHonorsRetryAfter) {
-  Rig rig;
-  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
-  ServerOptions server_options;
-  server_options.max_connections = 1;
-  server_options.shed_retry_after_ms = 21;
-  server_options.idle_poll_ms = 5;
-  Server server(rig.system.get(), server_options);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto first = Client::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(first.ok());
-  // Keep the connection demonstrably live, not just open.
-  ASSERT_TRUE(first->MonitorStats().ok());
-
-  // Without retries the second connection is shed at the Hello.
-  {
-    ClientOptions no_retry;
-    no_retry.max_shed_retries = 0;
-    auto second = Client::Connect("127.0.0.1", server.port(), no_retry);
-    ASSERT_FALSE(second.ok());
-    EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-  }
-
-  // With retries, the shed client backs off (seeded by the 21 ms wire hint)
-  // until the first client leaves, then gets the slot and works.
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    first->Close();
-  });
-  ClientOptions retry;
-  retry.max_shed_retries = 50;
-  retry.backoff_cap_ms = 40;
-  retry.backoff_jitter = 0;  // exact backoff arithmetic below
-  auto second = Client::Connect("127.0.0.1", server.port(), retry);
-  releaser.join();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_GE(second->call_stats().shed_retries, 1u);
-  EXPECT_GE(second->call_stats().backoff_ms_total, 21);
-  EXPECT_TRUE(second->MonitorStats().ok());
-  EXPECT_GE(server.stats().connections_shed, 2u);
-  server.Shutdown();
-}
-
 TEST(NetTest, GracefulShutdownDrainsInFlightRequest) {
   Rig rig;
   ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
@@ -475,96 +519,6 @@ TEST(NetTest, GracefulShutdownDrainsInFlightRequest) {
   no_retry.max_reconnects = 0;
   EXPECT_FALSE(
       Client::Connect("127.0.0.1", server.port(), no_retry).ok());
-}
-
-TEST(NetTest, HelloVersionMismatchRejectedWithServerVersion) {
-  Rig rig;
-  Server server(rig.system.get(), {});
-  ASSERT_TRUE(server.Start().ok());
-
-  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
-  ASSERT_TRUE(fd.ok());
-  io::BinaryWriter hello;
-  hello.WriteU32(kProtocolVersion + 7);
-  ASSERT_TRUE(WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kHello),
-                         hello.buffer())
-                  .ok());
-  auto response = ReadFrame(fd->get());
-  ASSERT_TRUE(response.ok());
-  io::BinaryReader reader(response->payload);
-  auto wire_status = DecodeWireStatus(&reader);
-  ASSERT_TRUE(wire_status.ok());
-  EXPECT_EQ(wire_status->status.code(), StatusCode::kFailedPrecondition);
-  // The refusal still reports the server's own version for diagnostics.
-  auto server_version = reader.ReadU32();
-  ASSERT_TRUE(server_version.ok());
-  EXPECT_EQ(*server_version, kProtocolVersion);
-  // The connection is closed after the refusal.
-  auto next = ReadFrame(fd->get());
-  EXPECT_FALSE(next.ok());
-  server.Shutdown();
-}
-
-TEST(NetTest, RpcBeforeHelloRejectedAndConnectionClosed) {
-  Rig rig;
-  Server server(rig.system.get(), {});
-  ASSERT_TRUE(server.Start().ok());
-  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(
-      WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kFlush), "").ok());
-  auto response = ReadFrame(fd->get());
-  ASSERT_TRUE(response.ok());
-  io::BinaryReader reader(response->payload);
-  auto wire_status = DecodeWireStatus(&reader);
-  ASSERT_TRUE(wire_status.ok());
-  EXPECT_EQ(wire_status->status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(ReadFrame(fd->get()).ok());
-  server.Shutdown();
-}
-
-TEST(NetTest, MalformedPayloadKeepsConnectionUsable) {
-  Rig rig;
-  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
-  Server server(rig.system.get(), {});
-  ASSERT_TRUE(server.Start().ok());
-
-  auto fd = TcpConnect("127.0.0.1", server.port(), 2'000);
-  ASSERT_TRUE(fd.ok());
-  // This test speaks legacy framing throughout, so it must negotiate the
-  // lock-step v4 protocol — advertising v5 would switch the server to
-  // correlation-id framing after the Hello.
-  io::BinaryWriter hello;
-  hello.WriteU32(kMinProtocolVersion);
-  ASSERT_TRUE(WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kHello),
-                         hello.buffer())
-                  .ok());
-  ASSERT_TRUE(ReadFrame(fd->get()).ok());
-
-  // A well-framed request whose payload is garbage: answered with
-  // kInvalidArgument, connection stays open.
-  ASSERT_TRUE(WriteFrame(fd->get(),
-                         static_cast<uint32_t>(MsgType::kDirectQuery),
-                         "\x01garbage")
-                  .ok());
-  auto bad = ReadFrame(fd->get());
-  ASSERT_TRUE(bad.ok());
-  io::BinaryReader bad_reader(bad->payload);
-  auto bad_status = DecodeWireStatus(&bad_reader);
-  ASSERT_TRUE(bad_status.ok());
-  EXPECT_EQ(bad_status->status.code(), StatusCode::kInvalidArgument);
-
-  // The same connection still serves a valid request afterwards.
-  ASSERT_TRUE(
-      WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kMonitorStats), "")
-          .ok());
-  auto good = ReadFrame(fd->get());
-  ASSERT_TRUE(good.ok());
-  io::BinaryReader good_reader(good->payload);
-  auto good_status = DecodeWireStatus(&good_reader);
-  ASSERT_TRUE(good_status.ok());
-  EXPECT_TRUE(good_status->status.ok());
-  server.Shutdown();
 }
 
 TEST(NetTest, SnapshotSaveAndLoadRoundTripOverWire) {
@@ -651,42 +605,6 @@ TEST(BackoffTest, JitterShrinksWithinBoundsAndIsSeedDeterministic) {
 }
 
 // --- Idempotency tokens: exactly-once over raw sockets. ---
-
-// Performs the client side of the Hello exchange on a raw socket. The raw
-// tests speak legacy framing throughout, so they negotiate the lock-step
-// v4 protocol — advertising v5 would switch the server to correlation-id
-// framing after the Hello.
-void RawHello(int fd) {
-  io::BinaryWriter hello;
-  hello.WriteU32(kMinProtocolVersion);
-  ASSERT_TRUE(WriteFrame(fd, static_cast<uint32_t>(MsgType::kHello),
-                         hello.buffer())
-                  .ok());
-  auto ack = ReadFrame(fd);
-  ASSERT_TRUE(ack.ok());
-  io::BinaryReader reader(ack->payload);
-  auto status = DecodeWireStatus(&reader);
-  ASSERT_TRUE(status.ok());
-  ASSERT_TRUE(status->status.ok());
-}
-
-// Sends one tokened request and returns (decoded status, raw payload).
-StatusOr<WireFrame> RawTokenedCall(int fd, MsgType type, uint64_t session,
-                                   uint64_t sequence,
-                                   const std::string& body = "") {
-  io::BinaryWriter payload;
-  EncodeIdempotencyToken(&payload, {session, sequence});
-  VZ_RETURN_IF_ERROR(WriteFrame(fd, static_cast<uint32_t>(type),
-                                payload.buffer() + body));
-  return ReadFrame(fd);
-}
-
-Status RawStatusOf(const WireFrame& frame) {
-  io::BinaryReader reader(frame.payload);
-  auto status = DecodeWireStatus(&reader);
-  if (!status.ok()) return status.status();
-  return status->status;
-}
 
 TEST(NetTest, DuplicateMutatingRpcReplayedNotReapplied) {
   Rig rig;
@@ -779,11 +697,9 @@ TEST(NetTest, MutatingRpcWithoutTokenRejectedButConnectionSurvives) {
   ASSERT_TRUE(fd.ok());
   RawHello(fd->get());
 
-  // v2 requires a token on every mutating request; a bare payload decodes
-  // as a malformed token.
-  ASSERT_TRUE(
-      WriteFrame(fd->get(), static_cast<uint32_t>(MsgType::kFlush), "").ok());
-  auto bare = ReadFrame(fd->get());
+  // Every mutating request carries a token; a bare payload decodes as a
+  // malformed token.
+  auto bare = RawCall(fd->get(), MsgType::kFlush, "");
   ASSERT_TRUE(bare.ok());
   EXPECT_EQ(RawStatusOf(*bare).code(), StatusCode::kInvalidArgument);
 
@@ -857,8 +773,8 @@ TEST(NetTest, SlowClientTricklingAFrameIsEvicted) {
   // Send only the first bytes of a valid frame, then stall. Once the first
   // byte arrived, the whole frame must land within read_timeout_ms; a
   // slow-loris trickle must not hold the connection open.
-  const std::string frame =
-      EncodeFrame(static_cast<uint32_t>(MsgType::kMonitorStats), "");
+  const std::string frame = EncodeFrame(
+      static_cast<uint32_t>(MsgType::kMonitorStats), kRawCorrelation, "");
   ASSERT_TRUE(SendAll(fd->get(), frame.data(), 6).ok());
   auto next = ReadFrame(fd->get(), 2'000);
   EXPECT_FALSE(next.ok());  // server hung up on us without a response
@@ -896,6 +812,185 @@ TEST(NetTest, ConnectionRegistryTracksTrafficAndTravelsInMonitorStats) {
   server.Shutdown();
   EXPECT_EQ(server.stats().connections_active, 0u);
 }
+
+
+// --- Protocol edges, on both serving front ends. ---
+
+enum class Front { kServer, kCoordinator };
+
+// One serving front end under test: an edge Server over the rig, or a
+// Coordinator in front of such an edge. `endpoint` configures the front end
+// the test talks to.
+class FrontEnd {
+ public:
+  FrontEnd(Front front, Rig* rig, const EndpointOptions& endpoint = {})
+      : front_(front), rig_(rig), endpoint_(endpoint) {}
+  ~FrontEnd() { Shutdown(); }
+
+  Status Start() {
+    ServerOptions server_options;
+    if (front_ == Front::kServer) {
+      static_cast<EndpointOptions&>(server_options) = endpoint_;
+    }
+    server_ = std::make_unique<Server>(rig_->system.get(), server_options);
+    VZ_RETURN_IF_ERROR(server_->Start());
+    if (front_ == Front::kServer) return Status::OK();
+    CoordinatorOptions options;
+    static_cast<EndpointOptions&>(options) = endpoint_;
+    options.edges.push_back({"127.0.0.1", server_->port()});
+    options.sync_interval_ms = 0;  // the synchronous poll at Start suffices
+    coordinator_ = std::make_unique<Coordinator>(options);
+    return coordinator_->Start();
+  }
+
+  uint16_t port() const {
+    return coordinator_ != nullptr ? coordinator_->port() : server_->port();
+  }
+
+  uint64_t connections_shed() const {
+    return coordinator_ != nullptr ? coordinator_->stats().connections_shed
+                                   : server_->stats().connections_shed;
+  }
+
+  void Shutdown() {
+    if (coordinator_ != nullptr) coordinator_->Shutdown();
+    if (server_ != nullptr) server_->Shutdown();
+  }
+
+ private:
+  Front front_;
+  Rig* rig_;
+  EndpointOptions endpoint_;
+  std::unique_ptr<Server> server_;
+  std::unique_ptr<Coordinator> coordinator_;
+};
+
+class ProtocolEdgeTest : public ::testing::TestWithParam<Front> {};
+
+TEST_P(ProtocolEdgeTest, HelloVersionMismatchRejectedWithServerVersion) {
+  Rig rig;
+  FrontEnd front(GetParam(), &rig);
+  ASSERT_TRUE(front.Start().ok());
+
+  auto fd = TcpConnect("127.0.0.1", front.port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  io::BinaryWriter hello;
+  hello.WriteU32(kProtocolVersion + 7);
+  auto response = RawCall(fd->get(), MsgType::kHello, hello.buffer());
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->correlation, kRawCorrelation);
+  io::BinaryReader reader(response->payload);
+  auto wire_status = DecodeWireStatus(&reader);
+  ASSERT_TRUE(wire_status.ok());
+  EXPECT_EQ(wire_status->status.code(), StatusCode::kFailedPrecondition);
+  // The refusal still reports the server's own version for diagnostics.
+  auto server_version = reader.ReadU32();
+  ASSERT_TRUE(server_version.ok());
+  EXPECT_EQ(*server_version, kProtocolVersion);
+  // The connection is closed after the refusal.
+  auto next = ReadFrame(fd->get());
+  EXPECT_FALSE(next.ok());
+  front.Shutdown();
+}
+
+TEST_P(ProtocolEdgeTest, RpcBeforeHelloRejectedAndConnectionClosed) {
+  Rig rig;
+  FrontEnd front(GetParam(), &rig);
+  ASSERT_TRUE(front.Start().ok());
+  auto fd = TcpConnect("127.0.0.1", front.port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  auto response = RawCall(fd->get(), MsgType::kFlush, "");
+  ASSERT_TRUE(response.ok());
+  io::BinaryReader reader(response->payload);
+  auto wire_status = DecodeWireStatus(&reader);
+  ASSERT_TRUE(wire_status.ok());
+  EXPECT_EQ(wire_status->status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(ReadFrame(fd->get()).ok());
+  front.Shutdown();
+}
+
+TEST_P(ProtocolEdgeTest, MalformedPayloadKeepsConnectionUsable) {
+  Rig rig;
+  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
+  FrontEnd front(GetParam(), &rig);
+  ASSERT_TRUE(front.Start().ok());
+
+  auto fd = TcpConnect("127.0.0.1", front.port(), 2'000);
+  ASSERT_TRUE(fd.ok());
+  RawHello(fd->get());
+
+  // A well-framed request whose payload is garbage: answered with
+  // kInvalidArgument, connection stays open.
+  auto bad = RawCall(fd->get(), MsgType::kDirectQuery, "\x01garbage");
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad->correlation, kRawCorrelation);
+  io::BinaryReader bad_reader(bad->payload);
+  auto bad_status = DecodeWireStatus(&bad_reader);
+  ASSERT_TRUE(bad_status.ok());
+  EXPECT_EQ(bad_status->status.code(), StatusCode::kInvalidArgument);
+
+  // The same connection still serves a valid request afterwards.
+  auto good = RawCall(fd->get(), MsgType::kMonitorStats, "");
+  ASSERT_TRUE(good.ok());
+  io::BinaryReader good_reader(good->payload);
+  auto good_status = DecodeWireStatus(&good_reader);
+  ASSERT_TRUE(good_status.ok());
+  EXPECT_TRUE(good_status->status.ok());
+  front.Shutdown();
+}
+
+TEST_P(ProtocolEdgeTest, ConnectionShedIsRetryableAndHonorsRetryAfter) {
+  Rig rig;
+  ASSERT_TRUE(rig.deployment->IngestAll(rig.system.get()).ok());
+  EndpointOptions endpoint;
+  endpoint.max_connections = 1;
+  endpoint.shed_retry_after_ms = 21;
+  endpoint.idle_poll_ms = 5;
+  FrontEnd front(GetParam(), &rig, endpoint);
+  ASSERT_TRUE(front.Start().ok());
+
+  auto first = Client::Connect("127.0.0.1", front.port());
+  ASSERT_TRUE(first.ok());
+  // Keep the connection demonstrably live, not just open.
+  ASSERT_TRUE(first->MonitorStats().ok());
+
+  // Without retries the second connection is shed at the Hello.
+  {
+    ClientOptions no_retry;
+    no_retry.max_shed_retries = 0;
+    auto second = Client::Connect("127.0.0.1", front.port(), no_retry);
+    ASSERT_FALSE(second.ok());
+    EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
+  }
+
+  // With retries, the shed client backs off (seeded by the 21 ms wire hint)
+  // until the first client leaves, then gets the slot and works.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    first->Close();
+  });
+  ClientOptions retry;
+  retry.max_shed_retries = 50;
+  retry.backoff_cap_ms = 40;
+  retry.backoff_jitter = 0;  // exact backoff arithmetic below
+  auto second = Client::Connect("127.0.0.1", front.port(), retry);
+  releaser.join();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_GE(second->call_stats().shed_retries, 1u);
+  EXPECT_GE(second->call_stats().backoff_ms_total, 21);
+  EXPECT_TRUE(second->MonitorStats().ok());
+  EXPECT_GE(front.connections_shed(), 2u);
+  second->Close();
+  front.Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothFronts, ProtocolEdgeTest,
+    ::testing::Values(Front::kServer, Front::kCoordinator),
+    [](const ::testing::TestParamInfo<Front>& info) {
+      return std::string(info.param == Front::kServer ? "Server"
+                                                      : "Coordinator");
+    });
 
 }  // namespace
 }  // namespace vz::net
