@@ -17,8 +17,16 @@ double FeatureMapListMetric::Distance(int a, int b) {
     failed_distances_.fetch_add(1, std::memory_order_relaxed);
     return std::numeric_limits<double>::infinity();
   }
+  const OmdOptions& omd_options = calculator_->options();
+  const bool shared = shared_cache_ != nullptr &&
+                      static_cast<size_t>(a) < keys_.size() &&
+                      static_cast<size_t>(b) < keys_.size();
   int64_t key = 0;
-  if (memoize_) {
+  if (shared) {
+    auto hit = shared_cache_->Lookup(keys_[a], keys_[b], omd_options.mode,
+                                     omd_options.threshold_alpha);
+    if (hit.has_value()) return *hit;
+  } else if (memoize_) {
     const auto lo = static_cast<uint32_t>(std::min(a, b));
     const auto hi = static_cast<uint32_t>(std::max(a, b));
     key = static_cast<int64_t>((static_cast<uint64_t>(lo) << 32) | hi);
@@ -33,7 +41,12 @@ double FeatureMapListMetric::Distance(int a, int b) {
     failed_distances_.fetch_add(1, std::memory_order_relaxed);
     return std::numeric_limits<double>::infinity();
   }
-  if (memoize_) memo_.emplace(key, *result);
+  if (shared) {
+    shared_cache_->Insert(keys_[a], keys_[b], omd_options.mode,
+                          omd_options.threshold_alpha, *result);
+  } else if (memoize_) {
+    memo_.emplace(key, *result);
+  }
   return *result;
 }
 

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/omd.h"
+#include "core/omd_cache.h"
 #include "index/item_metric.h"
 #include "vector/feature_map.h"
 
@@ -50,11 +52,24 @@ class FeatureMapListMetric : public index::ItemMetric {
     if (i < centroids_.size()) centroids_[i] = FeatureVector();
   }
 
+  /// Memoizes distances in `cache` under stable per-item keys, the way
+  /// `SvsMetric::set_shared_cache` does under SVS ids: item `i <
+  /// keys.size()` is cached as `keys[i]`, together with the OMD mode and
+  /// alpha in force. Items past the end of `keys` (a query's scratch slot)
+  /// and failed (+inf) solves never reach the cache. The cache must outlive
+  /// the metric; it takes precedence over `memoize`.
+  void set_shared_cache(OmdDistanceCache* cache, std::vector<SvsId> keys) {
+    shared_cache_ = cache;
+    keys_ = std::move(keys);
+  }
+
  private:
   const std::vector<FeatureMap>* maps_;
   OmdCalculator* calculator_;
   bool memoize_;
   bool quantized_prune_;
+  OmdDistanceCache* shared_cache_ = nullptr;
+  std::vector<SvsId> keys_;  // index-aligned cache keys
   std::unordered_map<int64_t, double> memo_;
   std::vector<FeatureVector> centroids_;  // lazily filled, index-aligned
   uint64_t num_evals_ = 0;

@@ -1,6 +1,8 @@
 #include "core/inter_camera_index.h"
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <utility>
 
 #include "clustering/silhouette.h"
@@ -13,6 +15,18 @@ namespace {
 // double weight each (the Sec. 7.3 traffic accounting).
 size_t WireBytes(const FeatureMap& map) {
   return map.size() * (map.dim() * sizeof(float) + sizeof(double));
+}
+
+// Bit-for-bit equality: the memo may serve one map's distances for another
+// only when the solver could not tell them apart.
+bool SameMap(const FeatureMap& a, const FeatureMap& b) {
+  auto same_bytes = [](const void* x, const void* y, size_t n) {
+    return n == 0 || std::memcmp(x, y, n) == 0;
+  };
+  return a.dim() == b.dim() && a.size() == b.size() &&
+         same_bytes(a.data(), b.data(), a.size() * a.dim() * sizeof(float)) &&
+         same_bytes(a.weights().data(), b.weights().data(),
+                    a.size() * sizeof(double));
 }
 
 }  // namespace
@@ -67,20 +81,56 @@ Status InterCameraIndex::RemoveCamera(const CameraId& camera) {
 }
 
 Status InterCameraIndex::Rebuild() {
+  AssignKeys();
   entry_maps_.clear();
   entry_maps_.reserve(entries_.size() + 1);
-  for (const RepEntry& e : entries_) entry_maps_.push_back(e.map);
+  built_.clear();
+  std::vector<SvsId> keys;
+  keys.reserve(entries_.size());
+  for (const RepEntry& e : entries_) {
+    entry_maps_.push_back(e.map);
+    built_.push_back({e.camera, e.intra_cluster_index, e.key});
+    keys.push_back(static_cast<SvsId>(e.key));
+  }
   if (metric_ != nullptr) {
     failed_distances_accum_ += metric_->failed_distances();
   }
   metric_ = std::make_unique<FeatureMapListMetric>(
       &entry_maps_, calculator_, /*memoize=*/false, options_.quantized_prune);
+  // The memo returns exactly what the solver returned for the same two maps
+  // under the same mode and alpha, so the tree is the one a cold build
+  // makes; only the repeated solves are gone.
+  metric_->set_shared_cache(&omd_memo_, std::move(keys));
   tree_ = std::make_unique<index::PerchTree>(metric_.get(), options_.perch);
   tree_->Reserve(entries_.size());
   for (size_t i = 0; i < entries_.size(); ++i) {
     VZ_RETURN_IF_ERROR(tree_->Insert(static_cast<int>(i)));
   }
   return Regroup();
+}
+
+void InterCameraIndex::AssignKeys() {
+  // The last build's entries (their maps are still in `entry_maps_`), by
+  // camera and cluster index.
+  std::map<std::pair<CameraId, size_t>, size_t> previous;
+  for (size_t i = 0; i < built_.size(); ++i) {
+    previous.emplace(
+        std::make_pair(built_[i].camera, built_[i].intra_cluster_index), i);
+  }
+  std::vector<bool> kept(built_.size(), false);
+  for (RepEntry& e : entries_) {
+    auto it = previous.find({e.camera, e.intra_cluster_index});
+    if (it != previous.end() && !kept[it->second] &&
+        SameMap(entry_maps_[it->second], e.map)) {
+      kept[it->second] = true;
+      e.key = built_[it->second].key;
+    } else {
+      e.key = next_key_++;
+    }
+  }
+  for (size_t i = 0; i < built_.size(); ++i) {
+    if (!kept[i]) omd_memo_.InvalidateSvs(static_cast<SvsId>(built_[i].key));
+  }
 }
 
 size_t InterCameraIndex::ChooseGroupCount() {

@@ -12,6 +12,7 @@
 #include "core/feature_map_metric.h"
 #include "core/intra_camera_index.h"
 #include "core/omd.h"
+#include "core/omd_cache.h"
 #include "core/representative.h"
 #include "index/perch_tree.h"
 
@@ -50,6 +51,11 @@ class InterCameraIndex {
     FeatureMap map;
     /// The representative's centers/boundaries (for hit tests).
     Representative rep;
+    /// Stable identity assigned by every rebuild (the value passed in is
+    /// ignored): an entry keeps the key of the previous build's entry with
+    /// the same camera, cluster index and bit-identical map, and gets a
+    /// fresh one otherwise. The index's OMD memo is keyed on it.
+    uint64_t key = 0;
   };
 
   /// A group of semantically similar representatives with its own summary.
@@ -119,7 +125,16 @@ class InterCameraIndex {
   }
 
  private:
+  /// The identity of one entry of the last build; `entry_maps_` holds its
+  /// map at the same index until the next rebuild.
+  struct BuiltEntry {
+    CameraId camera;
+    size_t intra_cluster_index = 0;
+    uint64_t key = 0;
+  };
+
   Status Rebuild();
+  void AssignKeys();
   Status Regroup();
   size_t ChooseGroupCount();
 
@@ -129,6 +144,11 @@ class InterCameraIndex {
   std::vector<RepEntry> entries_;
   std::vector<FeatureMap> entry_maps_;  // tree items index into this
   std::unique_ptr<FeatureMapListMetric> metric_;
+  /// Representative-pair OMDs by (key pair, OMD mode, alpha), kept across
+  /// rebuilds; pairs of keys that leave the index are dropped.
+  OmdDistanceCache omd_memo_;
+  std::vector<BuiltEntry> built_;
+  uint64_t next_key_ = 0;
   std::unique_ptr<index::PerchTree> tree_;
   /// Serializes `GroupOfNearest` among concurrent queries: the search
   /// borrows a scratch slot at the end of `entry_maps_`, and the metric's

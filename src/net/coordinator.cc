@@ -934,6 +934,9 @@ std::string Coordinator::HandleMonitorStats(io::BinaryReader*, Status*) {
   const CoordinatorStats own = stats();
   merged.serving.connections_accepted = own.connections_accepted;
   merged.serving.connections_shed = own.connections_shed;
+  merged.serving.connections_evicted_idle = own.connections_evicted_idle;
+  merged.serving.connections_evicted_slow = own.connections_evicted_slow;
+  merged.serving.connections = endpoint_.connection_stats();
   merged.serving.pings_served = 0;
   merged.serving.shards = registry_.HealthTable(NowMs());
   merged.serving.subscriptions_active = own.subscriptions_active;

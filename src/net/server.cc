@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unistd.h>
@@ -199,17 +200,21 @@ ServerStats Server::stats() const {
     stats.sessions_active = sessions_.size();
   }
   stats.role = role();
-  if (wal_ != nullptr) {
-    const io::WalStats wal_stats = wal_->stats();
-    stats.wal_appends = wal_stats.appends;
-    stats.wal_fsyncs = wal_stats.fsyncs;
-    stats.wal_salvaged_bytes = wal_stats.salvaged_bytes;
-    stats.wal_last_lsn = wal_stats.last_lsn;
-    stats.wal_durable_lsn = wal_stats.durable_lsn;
+  std::optional<io::WalStats> wal_stats;
+  {
+    std::lock_guard<std::mutex> wal_lock(wal_swap_mu_);
+    if (wal_ != nullptr) wal_stats = wal_->stats();
+  }
+  if (wal_stats.has_value()) {
+    stats.wal_appends = wal_stats->appends;
+    stats.wal_fsyncs = wal_stats->fsyncs;
+    stats.wal_salvaged_bytes = wal_stats->salvaged_bytes;
+    stats.wal_last_lsn = wal_stats->last_lsn;
+    stats.wal_durable_lsn = wal_stats->durable_lsn;
     if (standby_ && !promoted_.load()) {
       const uint64_t primary = replication_primary_durable_.load();
       stats.replication_lag_records =
-          primary > wal_stats.last_lsn ? primary - wal_stats.last_lsn : 0;
+          primary > wal_stats->last_lsn ? primary - wal_stats->last_lsn : 0;
     }
   }
   stats.wal_replayed_records = wal_replayed_records_.load();
@@ -229,13 +234,12 @@ ServerStats Server::stats() const {
   stats.checkpoints_quarantined = checkpoints_quarantined_.load();
   stats.disk_full = disk_full_.load();
   stats.read_only = read_only_.load();
-  if (wal_ != nullptr) {
+  if (wal_stats.has_value()) {
     // The WAL counts faults at the I/O layer; the server-side counters
     // cover everything else (checkpoint saves, operator snapshots). The
     // operator-facing numbers are the union.
-    const io::WalStats wal_stats = wal_->stats();
-    stats.disk_io_errors += wal_stats.io_errors;
-    stats.disk_fsync_failures += wal_stats.fsync_failures;
+    stats.disk_io_errors += wal_stats->io_errors;
+    stats.disk_fsync_failures += wal_stats->fsync_failures;
   }
   return stats;
 }
@@ -1371,15 +1375,18 @@ Status Server::ReseedFromPrimary(Client* client) {
   // Replace the mirrored log wholesale: everything at or below the
   // checkpoint's LSN is covered by it, and everything above will be
   // re-tailed from the primary starting at the checkpoint cut.
-  wal_.reset();
-  VZ_RETURN_IF_ERROR(RemoveWalSegments(env_, options_.wal_dir));
   io::WalOptions wal_options;
   wal_options.dir = options_.wal_dir;
   wal_options.fsync_interval_ms = options_.wal_fsync_interval_ms;
   wal_options.segment_bytes = options_.wal_segment_bytes;
   wal_options.start_lsn = checkpoint->lsn;
   wal_options.env = env_;
-  VZ_ASSIGN_OR_RETURN(wal_, io::Wal::Open(wal_options));
+  {
+    std::lock_guard<std::mutex> wal_lock(wal_swap_mu_);
+    wal_.reset();
+    VZ_RETURN_IF_ERROR(RemoveWalSegments(env_, options_.wal_dir));
+    VZ_ASSIGN_OR_RETURN(wal_, io::Wal::Open(wal_options));
+  }
   io::RemoveWalCheckpointsBelow(options_.wal_dir, checkpoint->lsn, env_);
   replication_reseeds_.fetch_add(1);
   return Status::OK();

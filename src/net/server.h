@@ -403,6 +403,9 @@ class Server {
   io::Env* env_ = nullptr;
   /// The write-ahead log (null without `wal_dir`). Internally synchronized.
   std::unique_ptr<io::Wal> wal_;
+  /// Held while a standby's re-seed replaces `wal_`, and by `stats()`,
+  /// which reads `wal_` without `state_mu_` (the re-seed's only guard).
+  mutable std::mutex wal_swap_mu_;
   /// True while `RecoverFromWal` replays the tail — checkpointing is
   /// suppressed (compaction would delete segments mid-replay).
   bool in_recovery_ = false;

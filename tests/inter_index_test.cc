@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <string>
+
 #include "test_util.h"
 
 namespace vz::core {
@@ -23,12 +28,33 @@ class InterIndexTest : public ::testing::Test {
     auto intra = std::make_unique<IntraCameraIndex>(camera, &store_, &metric_,
                                                     options, Rng(seed));
     for (size_t i = 0; i < centers.size(); ++i) {
-      const SvsId id = store_.Create(camera, next_time_, next_time_ += 10,
-                                     MakeMap(10, 4, centers[i], 0.3,
-                                             seed * 100 + i));
-      EXPECT_TRUE(intra->Insert(id).ok());
+      AddSvs(intra.get(), centers[i], seed * 100 + i);
     }
     return intra;
+  }
+
+  // Stores one more SVS of `intra`'s camera around `center` and inserts it.
+  void AddSvs(IntraCameraIndex* intra, double center, uint64_t seed) {
+    const int64_t start = next_time_;
+    next_time_ += 10;
+    const SvsId id = store_.Create(intra->camera(), start, next_time_,
+                                   MakeMap(10, 4, center, 0.3, seed));
+    EXPECT_TRUE(intra->Insert(id).ok());
+  }
+
+  // A cold index with `inter`'s options, built from `inter`'s entries by
+  // one SetEntries under the calculator's current settings, must hold the
+  // same tree for every cluster count.
+  void ExpectSameTreeAsFreshBuild(const InterCameraIndex& inter,
+                                  const InterIndexOptions& options) {
+    InterCameraIndex fresh(&calc_, options, Rng(99));
+    ASSERT_TRUE(fresh.SetEntries(inter.entries()).ok());
+    ASSERT_EQ(fresh.size(), inter.size());
+    for (size_t k = 1; k <= inter.size(); ++k) {
+      EXPECT_EQ(fresh.tree().ExtractClusters(k),
+                inter.tree().ExtractClusters(k))
+          << "k=" << k;
+    }
   }
 
   SvsStore store_;
@@ -132,6 +158,153 @@ TEST_F(InterIndexTest, EmptyIndexQueriesFail) {
   EXPECT_FALSE(inter.GroupOfNearest(query).ok());
   FeatureVector f(4);
   EXPECT_TRUE(inter.FeatureSearch(f).empty());
+}
+
+TEST_F(InterIndexTest, IncrementalRebuildsMatchFreshBuild) {
+  for (bool pruned : {true, false}) {
+    SCOPED_TRACE(pruned ? "pruned" : "unpruned");
+    InterIndexOptions options;
+    options.perch.enable_pruned_nn = pruned;
+    InterCameraIndex inter(&calc_, options, Rng(30));
+    std::vector<std::unique_ptr<IntraCameraIndex>> cameras;
+    for (uint64_t c = 0; c < 5; ++c) {
+      cameras.push_back(MakeIntra("cam-" + std::to_string(c),
+                                  {0.0, 3.0 * static_cast<double>(c), 10.0},
+                                  31 + c));
+    }
+    Rng ops(32);
+    for (int step = 0; step < 24; ++step) {
+      SCOPED_TRACE(::testing::Message() << "step " << step);
+      IntraCameraIndex* intra =
+          cameras[ops.UniformUint64(cameras.size())].get();
+      switch (ops.UniformUint64(4)) {
+        case 0:
+        case 1:  // new content: representatives change in place
+          AddSvs(intra, ops.UniformDouble(-5.0, 20.0), 1'000 + step);
+          ASSERT_TRUE(inter.UpdateCamera(*intra).ok());
+          break;
+        case 2:  // unchanged content: every key survives
+          ASSERT_TRUE(inter.UpdateCamera(*intra).ok());
+          break;
+        default:
+          ASSERT_TRUE(inter.RemoveCamera(intra->camera()).ok());
+          break;
+      }
+      ExpectSameTreeAsFreshBuild(inter, options);
+    }
+  }
+}
+
+TEST_F(InterIndexTest, RebuildSolvesOnlyPairsTouchingNewEntries) {
+  // Unpruned insertion measures every leaf, so each build solves (or finds
+  // in the memo) every pair of its entries — whatever the insertion order.
+  InterIndexOptions options;
+  options.perch.enable_pruned_nn = false;
+  InterCameraIndex inter(&calc_, options, Rng(33));
+  std::vector<std::unique_ptr<IntraCameraIndex>> cameras;
+  for (uint64_t c = 0; c < 4; ++c) {
+    cameras.push_back(MakeIntra("cam-" + std::to_string(c),
+                                {0.0, 2.0 * static_cast<double>(c), 9.0},
+                                34 + c));
+    ASSERT_TRUE(inter.UpdateCamera(*cameras.back()).ok());
+  }
+
+  // Re-importing an unchanged camera keeps every key and solves nothing.
+  std::vector<uint64_t> keys_before;
+  for (const auto& entry : inter.entries()) keys_before.push_back(entry.key);
+  calc_.ResetCounter();
+  ASSERT_TRUE(inter.UpdateCamera(*cameras[1]).ok());
+  EXPECT_EQ(calc_.num_computations(), 0u);
+  std::vector<uint64_t> keys_after;
+  for (const auto& entry : inter.entries()) keys_after.push_back(entry.key);
+  std::sort(keys_before.begin(), keys_before.end());
+  std::sort(keys_after.begin(), keys_after.end());
+  EXPECT_EQ(keys_after, keys_before);
+
+  // New content on one camera: only pairs with a fresh entry are solved,
+  // each at most once.
+  AddSvs(cameras[2].get(), 5.0, 35);
+  AddSvs(cameras[2].get(), 7.0, 36);
+  calc_.ResetCounter();
+  ASSERT_TRUE(inter.UpdateCamera(*cameras[2]).ok());
+  size_t fresh = 0;
+  for (const auto& entry : inter.entries()) {
+    fresh += !std::binary_search(keys_before.begin(), keys_before.end(),
+                                 entry.key);
+  }
+  const size_t n = inter.size();
+  ASSERT_GT(fresh, 0u);
+  EXPECT_LE(calc_.num_computations(),
+            fresh * (n - fresh) + fresh * (fresh - 1) / 2);
+}
+
+TEST_F(InterIndexTest, OmdSettingChangesNeverServeStaleDistances) {
+  const InterIndexOptions options;
+  InterCameraIndex inter(&calc_, options, Rng(37));
+  std::vector<std::unique_ptr<IntraCameraIndex>> cameras;
+  for (uint64_t c = 0; c < 3; ++c) {
+    cameras.push_back(MakeIntra("cam-" + std::to_string(c),
+                                {0.0, 4.0 * static_cast<double>(c), 11.0},
+                                38 + c));
+    ASSERT_TRUE(inter.UpdateCamera(*cameras.back()).ok());
+  }
+  // Exact alpha, then exact mode: each new setting re-solves the unchanged
+  // entries (the memo is keyed on mode and alpha) and builds the tree a
+  // cold index builds under it; a repeat under the same setting is free.
+  auto set_alpha = [this] { calc_.set_threshold_alpha(1.0); };
+  auto set_exact = [this] { calc_.set_mode(OmdMode::kExact); };
+  for (const auto& change : {std::function<void()>(set_alpha),
+                             std::function<void()>(set_exact)}) {
+    change();
+    calc_.ResetCounter();
+    ASSERT_TRUE(inter.UpdateCamera(*cameras[0]).ok());
+    EXPECT_GT(calc_.num_computations(), 0u);
+    ExpectSameTreeAsFreshBuild(inter, options);
+    calc_.ResetCounter();
+    ASSERT_TRUE(inter.UpdateCamera(*cameras[0]).ok());
+    EXPECT_EQ(calc_.num_computations(), 0u);
+  }
+}
+
+TEST_F(InterIndexTest, BackToBackNearestQueriesMatchBruteForce) {
+  // Unpruned search measures the query against every entry, so a scratch
+  // slot that read or wrote the memo would hand each query the previous
+  // one's distances; the pruned search must agree as well.
+  for (bool pruned : {false, true}) {
+    SCOPED_TRACE(pruned ? "pruned" : "unpruned");
+    InterIndexOptions options;
+    options.forced_num_groups = 3;
+    options.perch.enable_pruned_nn = pruned;
+    InterCameraIndex inter(&calc_, options, Rng(41));
+    std::vector<std::unique_ptr<IntraCameraIndex>> cameras;
+    for (uint64_t c = 0; c < 4; ++c) {
+      cameras.push_back(MakeIntra("cam-" + std::to_string(c),
+                                  {1.0 + 3.0 * static_cast<double>(c),
+                                   2.0 + 3.0 * static_cast<double>(c)},
+                                  42 + c));
+      ASSERT_TRUE(inter.UpdateCamera(*cameras.back()).ok());
+    }
+    const std::vector<double> centers = {0.5, 11.5, 6.0, 0.5, 3.5, 9.0, 11.5};
+    for (size_t q = 0; q < centers.size(); ++q) {
+      SCOPED_TRACE(::testing::Message() << "query " << q);
+      const FeatureMap query = MakeMap(6, 4, centers[q], 0.3, 50 + q);
+      size_t nearest = 0;
+      double best = std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < inter.size(); ++i) {
+        auto d = calc_.Distance(query, inter.entries()[i].map);
+        ASSERT_TRUE(d.ok());
+        if (*d < best) {
+          best = *d;
+          nearest = i;
+        }
+      }
+      auto group = inter.GroupOfNearest(query);
+      ASSERT_TRUE(group.ok());
+      const auto& members = (*group)->entry_indices;
+      EXPECT_NE(std::find(members.begin(), members.end(), nearest),
+                members.end());
+    }
+  }
 }
 
 }  // namespace

@@ -984,6 +984,29 @@ TEST_P(ProtocolEdgeTest, ConnectionShedIsRetryableAndHonorsRetryAfter) {
   front.Shutdown();
 }
 
+TEST_P(ProtocolEdgeTest, MonitorListsCallersOwnConnection) {
+  Rig rig;
+  FrontEnd front(GetParam(), &rig);
+  ASSERT_TRUE(front.Start().ok());
+  auto client = Client::Connect("127.0.0.1", front.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Ping().ok());
+
+  // The serving section describes the front end the caller talks to: its
+  // one connection is the caller's (hello + ping + this call so far).
+  auto monitor = client->MonitorStats();
+  ASSERT_TRUE(monitor.ok());
+  EXPECT_GE(monitor->serving.connections_accepted, 1u);
+  EXPECT_EQ(monitor->serving.connections_evicted_idle, 0u);
+  EXPECT_EQ(monitor->serving.connections_evicted_slow, 0u);
+  ASSERT_EQ(monitor->serving.connections.size(), 1u);
+  EXPECT_GE(monitor->serving.connections[0].rpcs, 2u);
+  EXPECT_GT(monitor->serving.connections[0].bytes_in, 0u);
+  EXPECT_GT(monitor->serving.connections[0].bytes_out, 0u);
+  client->Close();
+  front.Shutdown();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BothFronts, ProtocolEdgeTest,
     ::testing::Values(Front::kServer, Front::kCoordinator),
